@@ -40,6 +40,14 @@ pub enum Error {
         /// How many nodes the region tried to create.
         nodes: usize,
     },
+    /// A load or store event of the captured region carried no address
+    /// (see [`vectorscope_ddg::BuildError::MissingAddress`]).
+    MissingAddress {
+        /// Index of the event in the region's trace.
+        event: usize,
+        /// The event's static instruction.
+        inst: vectorscope_ir::InstId,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -56,6 +64,14 @@ impl std::fmt::Display for Error {
             Error::TraceTooLarge { nodes } => {
                 write!(f, "{}", BuildError::TraceTooLarge { nodes: *nodes })
             }
+            Error::MissingAddress { event, inst } => write!(
+                f,
+                "{}",
+                BuildError::MissingAddress {
+                    event: *event,
+                    inst: *inst
+                }
+            ),
         }
     }
 }
@@ -67,7 +83,8 @@ impl std::error::Error for Error {
             Error::Vm(e) => Some(e),
             Error::EmptyTrace { .. }
             | Error::TraceUnavailable { .. }
-            | Error::TraceTooLarge { .. } => None,
+            | Error::TraceTooLarge { .. }
+            | Error::MissingAddress { .. } => None,
         }
     }
 }
@@ -88,6 +105,7 @@ impl From<BuildError> for Error {
     fn from(e: BuildError) -> Self {
         match e {
             BuildError::TraceTooLarge { nodes } => Error::TraceTooLarge { nodes },
+            BuildError::MissingAddress { event, inst } => Error::MissingAddress { event, inst },
         }
     }
 }

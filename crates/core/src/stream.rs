@@ -22,19 +22,19 @@
 //!   never leave the engine, so they are not needed.
 //!
 //! [`StreamingAnalyzer::consume`] is the push-style endpoint the VM's
-//! [`vectorscope_interp::Vm::add_sink`] API feeds one event at a time; it
-//! replays the DDG builder's dependence resolution (including the
-//! most-recent-*overlapping*-writer rule for mixed-size aliased stores —
-//! see `Builder::mem_writer_for` in `vectorscope-ddg`) against shadow
-//! tables that carry timestamp lanes instead of node ids.
-//! [`StreamingAnalyzer::finish`] then runs the shared stride core and the
-//! shared metrics assembler, producing reports **byte-identical** to
-//! [`crate::analyze_ddg`] over the batch DDG of the same event stream.
+//! [`vectorscope_interp::Vm::add_sink`] API feeds one event at a time. It
+//! runs the batch DDG builder's own dependence replay (the
+//! [`vectorscope_ddg::replay`] core) through a sink whose producers carry
+//! timestamp lanes instead of node ids. [`StreamingAnalyzer::finish`] then
+//! runs the shared stride core and metrics assembler, producing reports
+//! **byte-identical** to [`crate::analyze_ddg`] over the batch DDG of the
+//! same event stream.
 //!
 //! Peak resident state is `O(live registers + live memory cells +
-//! candidate instances)` — on the bundled kernels 4–100× below the batch
-//! DDG footprint (see `BENCH_streaming.json`). [`StreamStats`] exposes the
-//! observability counters (`vscope stats`).
+//! candidate instances)`, where live registers are those of the
+//! activations on the call stack — on the bundled kernels well below the
+//! batch DDG footprint (see `BENCH_streaming.json`). [`StreamStats`]
+//! exposes the observability counters (`vscope stats`).
 //!
 //! One deliberate non-feature: the reduction-breaking extension needs
 //! whole-graph reduction chains *before* timestamping, which contradicts a
@@ -43,10 +43,10 @@
 
 use crate::metrics::{assemble, InstMetrics, LaneOutcome, LoopMetrics, MetricOptions};
 use crate::stride::{analyze_sorted_tuples, SortedTuples, StrideReport};
-use std::collections::HashMap;
+use vectorscope_ddg::replay::{Node, NodeClass, Payload, Replay, Sink};
 use vectorscope_ddg::{BuildError, CandidatePolicy};
-use vectorscope_ir::{InstId, InstKind, Module, TermKind, Value};
-use vectorscope_trace::{EventKind, TraceEvent};
+use vectorscope_ir::{InstId, Module};
+use vectorscope_trace::TraceEvent;
 
 /// Observability counters of one streaming run.
 ///
@@ -63,12 +63,13 @@ pub struct StreamStats {
     pub nodes: u64,
     /// Candidate (FP/int arithmetic) instances accumulated.
     pub candidate_instances: u64,
-    /// Peak live register shadow entries.
+    /// Peak register slots across the live activations' frames.
     pub peak_reg_shadow: usize,
-    /// Peak live memory shadow entries.
+    /// Peak memory cells with a recorded last store.
     pub peak_mem_shadow: usize,
-    /// Peak resident shadow-table bytes (register + memory, keys, lane
-    /// payloads and per-entry headers).
+    /// Peak resident replay-state bytes: memory-shadow pages and their
+    /// index, the memory entry slab, register frame vectors and the
+    /// timestamp-lane payloads they own.
     pub peak_shadow_bytes: usize,
     /// Peak resident stride-accumulator bytes (operand address tuples).
     pub peak_accumulator_bytes: usize,
@@ -100,63 +101,21 @@ pub struct StreamOutcome {
     pub stats: StreamStats,
 }
 
-/// Last writer of a virtual register, reduced to what downstream analyses
-/// can still ask of it: its timestamp lanes and, if it was a load, its
-/// address (for operand address tuples).
-struct RegShadow {
-    /// Algorithm 1 timestamp per candidate lane, with trailing zeros
-    /// trimmed; lanes past the stored length are implicitly 0 (a timestamp
-    /// is 0 until the lane's first candidate instance, so a writer that ran
-    /// before that instance has lane value 0 by construction — the same
-    /// argument that lets lanes be created lazily at all).
-    lanes: Box<[u32]>,
+/// A register's last writer, reduced to what downstream analyses can
+/// still ask of it.
+#[derive(Default, Clone)]
+struct RegLanes {
+    /// Its timestamp lanes (see [`Timestamps::scratch`]).
+    lanes: Vec<u32>,
     /// The writer's dynamic address if it was a load, else 0 — exactly the
     /// contribution `Ddg::operand_addrs` derives from the writer node.
     load_addr: u64,
 }
 
-/// Last write covering a memory base address. Packed deliberately: one of
-/// these exists per *live* memory cell, which is the engine's dominant
-/// state on large-array kernels.
-struct MemShadow {
-    /// The store's timestamp lanes (see [`RegShadow::lanes`]).
-    lanes: Box<[u32]>,
-    /// Global instance sequence number of the writing store — the recency
-    /// key of the most-recent-overlapping-writer rule (node ids increase in
-    /// execution order, so sequence order is id order). Fits `u32` because
-    /// instance ids are `u32`-checked (`BuildError::TraceTooLarge`).
-    seq: u32,
-    /// Write size in bytes (scalar stores only: at most 8).
-    size: u8,
-}
-
-fn reg_shadow_bytes(s: &RegShadow) -> usize {
-    // (activation, register) key + lane slice header + payload + addr.
-    8 + std::mem::size_of::<Box<[u32]>>() + 4 * s.lanes.len() + 8
-}
-
-fn mem_shadow_bytes(s: &MemShadow) -> usize {
-    // base key + packed entry + lane payload.
-    8 + std::mem::size_of::<MemShadow>() + 4 * s.lanes.len()
-}
-
-/// Element-wise `max` into `dst`, extending it with implicit zeros first.
-fn max_into(dst: &mut Vec<u32>, src: &[u32]) {
-    if src.len() > dst.len() {
-        dst.resize(src.len(), 0);
+impl Payload for RegLanes {
+    fn heap_bytes(&self) -> usize {
+        self.lanes.heap_bytes()
     }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = (*d).max(s);
-    }
-}
-
-/// Freezes a working lane vector into its resident form, dropping trailing
-/// zeros (implicitly-zero lanes read back identically through `max_into`).
-fn trim(mut lanes: Vec<u32>) -> Box<[u32]> {
-    while lanes.last() == Some(&0) {
-        lanes.pop();
-    }
-    lanes.into_boxed_slice()
 }
 
 /// Online Algorithm 1 + stride analysis over a pushed event stream.
@@ -169,40 +128,7 @@ fn trim(mut lanes: Vec<u32>) -> Box<[u32]> {
 /// proof against the batch engine.
 pub struct StreamingAnalyzer<'m> {
     module: &'m Module,
-    policy: CandidatePolicy,
-
-    // --- candidate lanes, created at first appearance (before a lane's
-    // first instance every timestamp of that lane is 0, so late creation
-    // loses nothing and reproduces `Ddg::candidate_insts` order).
-    lane_of: HashMap<InstId, usize>,
-    lane_insts: Vec<InstId>,
-    lane_elem: Vec<u64>,
-    /// Operand count of each lane's static instruction (fixed per lane —
-    /// candidates are binary arithmetic), making the accumulators flat.
-    lane_arity: Vec<usize>,
-    /// `accum[lane][timestamp - 1]` collects the operand address tuples of
-    /// that partition's instances, concatenated in execution order with
-    /// stride `lane_arity[lane]` — 8 bytes per operand, no per-instance
-    /// allocation or header.
-    accum: Vec<Vec<Vec<u64>>>,
-
-    // --- live dependence state (the whole memory story).
-    regs: HashMap<(u32, u32), RegShadow>,
-    mem: HashMap<u64, MemShadow>,
-    /// Open calls: (callee activation, caller activation, dst register).
-    call_stack: Vec<(u32, u32, Option<u32>)>,
-
-    /// Instances seen (= next batch node id).
-    node_seq: u64,
-    /// Operand-writer slots a batch CSR build would have pushed (the batch
-    /// engine bounds this by `u32` too).
-    op_count: u64,
-    /// Set when the stream exceeds what `u32` node ids can express.
-    overflow: Option<usize>,
-
-    stats: StreamStats,
-    shadow_bytes: usize,
-    accum_bytes: usize,
+    replay: Replay<Timestamps>,
 }
 
 impl<'m> StreamingAnalyzer<'m> {
@@ -210,47 +136,19 @@ impl<'m> StreamingAnalyzer<'m> {
     pub fn new(module: &'m Module, policy: CandidatePolicy) -> Self {
         StreamingAnalyzer {
             module,
-            policy,
-            lane_of: HashMap::new(),
-            lane_insts: Vec::new(),
-            lane_elem: Vec::new(),
-            lane_arity: Vec::new(),
-            accum: Vec::new(),
-            regs: HashMap::new(),
-            mem: HashMap::new(),
-            call_stack: Vec::new(),
-            node_seq: 0,
-            op_count: 0,
-            overflow: None,
-            stats: StreamStats::default(),
-            shadow_bytes: 0,
-            accum_bytes: 0,
+            replay: Replay::new(module, policy, Timestamps::default()),
         }
     }
 
     /// Events consumed so far (0 means the capture never fired — the
     /// streaming equivalent of an empty trace).
     pub fn events(&self) -> u64 {
-        self.stats.events
+        self.replay.stats().events
     }
 
     /// Consumes one trace event, updating live state online.
     pub fn consume(&mut self, event: &TraceEvent) {
-        self.stats.events += 1;
-        if self.overflow.is_some() {
-            return;
-        }
-        match event.kind {
-            EventKind::Plain { addr } => self.plain(event.inst, event.activation, addr),
-            EventKind::Call { callee_activation } => {
-                self.call(event.inst, event.activation, callee_activation)
-            }
-            EventKind::Ret => self.ret(event.inst, event.activation),
-        }
-        self.stats.peak_reg_shadow = self.stats.peak_reg_shadow.max(self.regs.len());
-        self.stats.peak_mem_shadow = self.stats.peak_mem_shadow.max(self.mem.len());
-        self.stats.peak_shadow_bytes = self.stats.peak_shadow_bytes.max(self.shadow_bytes);
-        self.stats.peak_accumulator_bytes = self.stats.peak_accumulator_bytes.max(self.accum_bytes);
+        self.replay.consume(event);
     }
 
     /// Closes the stream: runs the shared stride core over the accumulated
@@ -262,22 +160,17 @@ impl<'m> StreamingAnalyzer<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::TraceTooLarge`] if the stream held more
-    /// instances than `u32` node ids can express — the same limit, surfaced
-    /// the same way, as the batch builder.
+    /// Returns the replay's [`BuildError`] — a stream holding more
+    /// instances than `u32` node ids can express, or a load or store event
+    /// without an address — exactly as the batch builder does.
     pub fn finish(self, options: &MetricOptions) -> Result<StreamOutcome, BuildError> {
-        if let Some(nodes) = self.overflow {
-            return Err(BuildError::TraceTooLarge { nodes });
-        }
-        let shards: Vec<(usize, usize)> = self
-            .accum
+        let (sink, replay) = self.replay.finish()?;
+        let (accum, elems, arities) = (&sink.accum, &sink.lane_elem, &sink.lane_arity);
+        let shards: Vec<(usize, usize)> = accum
             .iter()
             .enumerate()
             .flat_map(|(l, gs)| (0..gs.len()).map(move |g| (l, g)))
             .collect();
-        let accum = &self.accum;
-        let elems = &self.lane_elem;
-        let arities = &self.lane_arity;
         // Same fan-out discipline as `analyze_ddg`: results return in shard
         // order, so aggregation is byte-identical at every thread count.
         let reports: Vec<StrideReport> =
@@ -293,10 +186,10 @@ impl<'m> StreamingAnalyzer<'m> {
                 analyze_sorted_tuples(&tuples, elems[l])
             });
         let mut reports = reports.into_iter();
-        let lanes: Vec<LaneOutcome> = self
+        let lanes: Vec<LaneOutcome> = sink
             .lane_insts
             .iter()
-            .zip(self.accum.iter().zip(&self.lane_arity))
+            .zip(accum.iter().zip(arities))
             .map(|(&inst, (groups, &arity))| {
                 let instances: usize = groups.iter().map(|g| g.len() / arity).sum();
                 LaneOutcome {
@@ -320,269 +213,125 @@ impl<'m> StreamingAnalyzer<'m> {
                 }
             })
             .collect();
+        let words: usize = accum.iter().flatten().map(Vec::len).sum();
+        let stats = StreamStats {
+            events: replay.events,
+            nodes: replay.nodes,
+            candidate_instances: lanes.iter().map(|l| l.instances).sum(),
+            peak_reg_shadow: replay.peak_reg_slots,
+            peak_mem_shadow: replay.peak_mem_cells,
+            peak_shadow_bytes: replay.peak_bytes,
+            // Accumulators only grow, so their final size is their peak.
+            peak_accumulator_bytes: 8 * words + shards.len() * std::mem::size_of::<Vec<u64>>(),
+            partitions: shards.len() as u64,
+        };
         let (metrics, per_inst) = assemble(lanes);
         Ok(StreamOutcome {
             metrics,
             per_inst,
-            nodes: self.node_seq as usize,
-            stats: self.stats,
+            nodes: stats.nodes as usize,
+            stats,
         })
     }
+}
 
-    /// Allocates the next instance sequence number, mirroring the batch
-    /// builder's checked node-id conversion (id `u32::MAX` is the EXTERNAL
-    /// sentinel) and its CSR operand-array bound.
-    fn next_seq(&mut self, operands: u64) -> Option<u64> {
-        if self.node_seq >= u32::MAX as u64 {
-            self.overflow = Some(self.node_seq as usize);
-            return None;
-        }
-        let seq = self.node_seq;
-        self.node_seq += 1;
-        self.op_count += operands;
-        if self.op_count >= u32::MAX as u64 {
-            self.overflow = Some(self.node_seq as usize);
-            return None;
-        }
-        self.stats.nodes += 1;
-        Some(seq)
+/// Element-wise `max` into `dst`, extending it with implicit zeros first.
+fn max_into(dst: &mut Vec<u32>, src: &[u32]) {
+    if src.len() > dst.len() {
+        dst.resize(src.len(), 0);
     }
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = (*d).max(s);
+    }
+}
 
-    fn lanes_of_value(&self, act: u32, v: Value, into: &mut Vec<u32>) {
-        if let Value::Reg(r) = v {
-            if let Some(s) = self.regs.get(&(act, r.0)) {
-                max_into(into, &s.lanes);
+/// Marks an instruction without a candidate lane in [`Timestamps::lane_of`].
+const NO_LANE: u32 = u32::MAX;
+
+/// Algorithm 1 timestamps and operand tuples as a replay sink: every
+/// producer carries its timestamp lanes, and a candidate instance's
+/// timestamp is the max over its producers plus one.
+#[derive(Default)]
+struct Timestamps {
+    // --- candidate lanes, created at first appearance (before a lane's
+    // first instance every timestamp of that lane is 0, so late creation
+    // loses nothing and reproduces `Ddg::candidate_insts` order).
+    /// Lane per static instruction id ([`NO_LANE`] if none yet).
+    lane_of: Vec<u32>,
+    lane_insts: Vec<InstId>,
+    lane_elem: Vec<u64>,
+    /// Operand count of each lane's static instruction (fixed per lane —
+    /// candidates are binary arithmetic), making the accumulators flat.
+    lane_arity: Vec<usize>,
+    /// `accum[lane][timestamp - 1]` collects the operand address tuples of
+    /// that partition's instances, concatenated in execution order with
+    /// stride `lane_arity[lane]` — 8 bytes per operand, no per-instance
+    /// allocation or header.
+    accum: Vec<Vec<Vec<u64>>>,
+    /// The current instance's Algorithm 1 timestamp per candidate lane,
+    /// without trailing zeros: lanes past the stored length are implicitly
+    /// 0 (a timestamp is 0 until the lane's first candidate instance, so a
+    /// writer that ran before it has lane value 0 by construction — the
+    /// same argument that lets lanes be created lazily).
+    scratch: Vec<u32>,
+    /// The current instance's address-tuple contribution.
+    load_addr: u64,
+}
+
+impl Sink for Timestamps {
+    type Reg = RegLanes;
+    type Mem = Vec<u32>;
+
+    fn node(&mut self, node: &Node<'_, RegLanes, Vec<u32>>) {
+        let lane = (node.class == NodeClass::Candidate).then(|| {
+            if node.inst.index() >= self.lane_of.len() {
+                self.lane_of.resize(node.inst.index() + 1, NO_LANE);
             }
-        }
-    }
-
-    /// The operand-address-tuple contribution of a value: the address of
-    /// the load that produced it, else 0 (immediates, externals, register
-    /// arithmetic).
-    fn addr_of_value(&self, act: u32, v: Value) -> u64 {
-        if let Value::Reg(r) = v {
-            if let Some(s) = self.regs.get(&(act, r.0)) {
-                return s.load_addr;
+            if self.lane_of[node.inst.index()] == NO_LANE {
+                self.lane_of[node.inst.index()] = self.lane_insts.len() as u32;
+                self.lane_insts.push(node.inst);
+                self.lane_elem.push(node.size.into());
+                self.lane_arity.push(node.operands().len());
+                self.accum.push(Vec::new());
             }
+            self.lane_of[node.inst.index()] as usize
+        });
+        let lanes = &mut self.scratch;
+        lanes.clear();
+        for producer in node.operands() {
+            max_into(lanes, &producer.lanes);
         }
-        0
-    }
-
-    /// The most recent write overlapping the read `[addr, addr + size)` —
-    /// the streaming mirror of `Builder::mem_writer_for`, including the fix
-    /// for newer overlapping writes at a different base and the saturating
-    /// window near `u64::MAX`. Recency competes on sequence numbers, which
-    /// order exactly like batch node ids.
-    fn mem_shadow_for(&self, addr: u64, size: u64) -> Option<&MemShadow> {
-        if size == 0 {
-            return None;
+        if let Some((_, store)) = node.mem {
+            max_into(lanes, store);
         }
-        let mut best: Option<&MemShadow> = None;
-        let lo = addr.saturating_sub(7);
-        let hi = addr.saturating_add(size - 1);
-        for base in lo..=hi {
-            if let Some(s) = self.mem.get(&base) {
-                let reaches = s.size > 0
-                    && base
-                        .checked_add(s.size as u64 - 1)
-                        .is_none_or(|end| end >= addr);
-                if reaches && best.map(|b| s.seq > b.seq).unwrap_or(true) {
-                    best = Some(s);
-                }
-            }
-        }
-        best
-    }
-
-    fn set_reg(&mut self, key: (u32, u32), shadow: RegShadow) {
-        self.shadow_bytes += reg_shadow_bytes(&shadow);
-        if let Some(old) = self.regs.insert(key, shadow) {
-            self.shadow_bytes -= reg_shadow_bytes(&old);
-        }
-    }
-
-    fn remove_reg(&mut self, key: (u32, u32)) {
-        if let Some(old) = self.regs.remove(&key) {
-            self.shadow_bytes -= reg_shadow_bytes(&old);
-        }
-    }
-
-    fn set_mem(&mut self, base: u64, shadow: MemShadow) {
-        self.shadow_bytes += mem_shadow_bytes(&shadow);
-        if let Some(old) = self.mem.insert(base, shadow) {
-            self.shadow_bytes -= mem_shadow_bytes(&old);
-        }
-    }
-
-    fn plain(&mut self, inst_id: InstId, act: u32, addr: Option<u64>) {
-        let Some(inst) = self.module.inst(inst_id) else {
-            return; // terminator or unknown: Ret handled separately
+        self.load_addr = if node.class == NodeClass::Load {
+            node.addr
+        } else {
+            0
         };
-        match &inst.kind {
-            InstKind::Load {
-                dst,
-                addr: addr_op,
-                ty,
-            } => {
-                let a = addr.expect("load event carries an address");
-                if self.next_seq(2).is_none() {
-                    return;
-                }
-                let mut lanes = Vec::new();
-                self.lanes_of_value(act, *addr_op, &mut lanes);
-                if let Some(s) = self.mem_shadow_for(a, ty.size()) {
-                    max_into(&mut lanes, &s.lanes);
-                }
-                self.set_reg(
-                    (act, dst.0),
-                    RegShadow {
-                        lanes: trim(lanes),
-                        load_addr: a,
-                    },
-                );
+        if let Some(lane) = lane {
+            // Algorithm 1: this instance's timestamp is the max
+            // predecessor timestamp plus one.
+            if lanes.len() <= lane {
+                lanes.resize(lane + 1, 0);
             }
-            InstKind::Store {
-                addr: addr_op,
-                value,
-                ty,
-            } => {
-                let a = addr.expect("store event carries an address");
-                let Some(seq) = self.next_seq(2) else {
-                    return;
-                };
-                let mut lanes = Vec::new();
-                self.lanes_of_value(act, *addr_op, &mut lanes);
-                self.lanes_of_value(act, *value, &mut lanes);
-                self.set_mem(
-                    a,
-                    MemShadow {
-                        lanes: trim(lanes),
-                        seq: seq as u32,
-                        size: u8::try_from(ty.size()).expect("scalar store size fits u8"),
-                    },
-                );
+            lanes[lane] += 1;
+            let t = lanes[lane] as usize;
+            let groups = &mut self.accum[lane];
+            if groups.len() < t {
+                groups.resize_with(t, Vec::new);
             }
-            other => {
-                let mut lanes = Vec::new();
-                let mut tuple = Vec::new();
-                let mut operands = 0u64;
-                inst.for_each_use(|v| {
-                    operands += 1;
-                    self.lanes_of_value(act, v, &mut lanes);
-                    tuple.push(self.addr_of_value(act, v));
-                });
-                if self.next_seq(operands).is_none() {
-                    return;
-                }
-                let int_candidate = self.policy == CandidatePolicy::IntAndFloatArith
-                    && matches!(
-                        &inst.kind,
-                        InstKind::Bin { ty, .. } if ty.is_int()
-                    );
-                if inst.is_fp_candidate() || int_candidate {
-                    let elem = match other {
-                        InstKind::Bin { ty, .. } => ty.size(),
-                        _ => 8,
-                    };
-                    let lane = match self.lane_of.get(&inst_id) {
-                        Some(&l) => l,
-                        None => {
-                            let l = self.lane_insts.len();
-                            self.lane_of.insert(inst_id, l);
-                            self.lane_insts.push(inst_id);
-                            self.lane_elem.push(elem);
-                            self.lane_arity.push(tuple.len());
-                            self.accum.push(Vec::new());
-                            l
-                        }
-                    };
-                    debug_assert_eq!(
-                        self.lane_arity[lane],
-                        tuple.len(),
-                        "a static instruction's operand count is fixed"
-                    );
-                    // Algorithm 1: this instance's timestamp is the max
-                    // predecessor timestamp plus one.
-                    let t = lanes.get(lane).copied().unwrap_or(0) as usize + 1;
-                    if lanes.len() <= lane {
-                        lanes.resize(lane + 1, 0);
-                    }
-                    lanes[lane] = t as u32;
-                    let groups = &mut self.accum[lane];
-                    if groups.len() < t {
-                        self.stats.partitions += (t - groups.len()) as u64;
-                        self.accum_bytes += (t - groups.len()) * std::mem::size_of::<Vec<u64>>();
-                        groups.resize_with(t, Vec::new);
-                    }
-                    self.accum_bytes += 8 * tuple.len();
-                    groups[t - 1].extend_from_slice(&tuple);
-                    self.stats.candidate_instances += 1;
-                }
-                if let Some(dst) = inst.dst() {
-                    self.set_reg(
-                        (act, dst.0),
-                        RegShadow {
-                            lanes: trim(lanes),
-                            load_addr: 0,
-                        },
-                    );
-                }
-            }
+            groups[t - 1].extend(node.operands().map(|p| p.load_addr));
         }
+        lanes.truncate(lanes.iter().rposition(|&t| t != 0).map_or(0, |i| i + 1));
     }
 
-    fn call(&mut self, inst_id: InstId, act: u32, callee_act: u32) {
-        let Some(inst) = self.module.inst(inst_id) else {
-            return;
-        };
-        let InstKind::Call { dst, callee, args } = &inst.kind else {
-            return;
-        };
-        // Dependences pass through calls: callee parameters inherit the
-        // caller-side producers of the arguments.
-        let callee_fn = self.module.function(*callee);
-        for (i, arg) in args.iter().enumerate() {
-            let Value::Reg(r) = arg else {
-                continue;
-            };
-            let copy = self.regs.get(&(act, r.0)).map(|s| RegShadow {
-                lanes: s.lanes.clone(),
-                load_addr: s.load_addr,
-            });
-            if let Some(copy) = copy {
-                let param = callee_fn.params()[i];
-                self.set_reg((callee_act, param.0), copy);
-            }
-        }
-        self.call_stack.push((callee_act, act, dst.map(|d| d.0)));
+    fn write_reg(&mut self, dst: &mut RegLanes) {
+        dst.lanes.clone_from(&self.scratch);
+        dst.load_addr = self.load_addr;
     }
 
-    fn ret(&mut self, inst_id: InstId, act: u32) {
-        let Some((callee_act, caller_act, dst)) = self.call_stack.pop() else {
-            return; // capture started inside this activation; nothing to link
-        };
-        if callee_act != act {
-            // Mismatched linkage (capture started mid-call): restore and
-            // bail out conservatively.
-            self.call_stack.push((callee_act, caller_act, dst));
-            return;
-        }
-        let ret_shadow = self
-            .module
-            .terminator(inst_id)
-            .and_then(|t| match t.kind {
-                TermKind::Ret(Some(Value::Reg(r))) => self.regs.get(&(act, r.0)),
-                _ => None,
-            })
-            .map(|s| RegShadow {
-                lanes: s.lanes.clone(),
-                load_addr: s.load_addr,
-            });
-        if let Some(d) = dst {
-            match ret_shadow {
-                Some(s) => self.set_reg((caller_act, d), s),
-                None => self.remove_reg((caller_act, d)),
-            }
-        }
+    fn write_mem(&mut self, dst: &mut Vec<u32>) {
+        dst.clone_from(&self.scratch);
     }
 }

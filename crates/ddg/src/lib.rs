@@ -9,7 +9,8 @@
 //! Anti-, output-, and control dependences are deliberately excluded.
 //!
 //! Construction replays a [`vectorscope_trace::Trace`] against the static
-//! [`vectorscope_ir::Module`]: trace events carry only dynamic facts
+//! [`vectorscope_ir::Module`] through the [`replay`] core, which the
+//! streaming analyzer shares: trace events carry only dynamic facts
 //! (addresses, activation ids); operand structure comes from the IR. Call
 //! and return events do not create nodes — dependences flow *through* them:
 //! a callee's parameter use resolves to the caller-side producer of the
@@ -35,10 +36,14 @@
 pub mod dot;
 pub mod kumar;
 pub mod looplevel;
+pub mod replay;
 
+/// Node classification for [`Ddg::synthetic`].
+pub use replay::NodeClass as SyntheticClass;
+use replay::{NodeClass, Replay, ReplayStats};
 use std::collections::HashMap;
-use vectorscope_ir::{InstId, InstKind, Module, TermKind, Value};
-use vectorscope_trace::{EventKind, Trace};
+use vectorscope_ir::{InstId, Module};
+use vectorscope_trace::Trace;
 
 /// Sentinel in operand-writer lists: the operand had no producer inside the
 /// trace (immediate, or value produced before capture started).
@@ -55,6 +60,14 @@ pub enum BuildError {
         /// How many nodes the trace tried to create (saturated count).
         nodes: usize,
     },
+    /// A load or store event carries no address, so its memory dependence
+    /// cannot be resolved (a decodable but malformed trace).
+    MissingAddress {
+        /// Index of the event in the trace.
+        event: usize,
+        /// The event's static instruction.
+        inst: InstId,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -64,6 +77,10 @@ impl std::fmt::Display for BuildError {
                 f,
                 "trace produces {nodes}+ DDG nodes; u32 node ids support at most {}",
                 u32::MAX - 1
+            ),
+            BuildError::MissingAddress { event, inst } => write!(
+                f,
+                "trace event {event} (instruction {inst}) is a memory access without an address"
             ),
         }
     }
@@ -105,18 +122,6 @@ pub enum CandidatePolicy {
     IntAndFloatArith,
 }
 
-/// Per-node flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeClass {
-    Load,
-    Store,
-    Candidate,
-    /// Produces a floating-point value but is not a candidate (FP copies,
-    /// negation, intrinsics, int-to-float casts).
-    FloatOther,
-    Other,
-}
-
 #[derive(Debug, Clone)]
 struct Node {
     inst: InstId,
@@ -155,6 +160,8 @@ pub struct Ddg {
     op_writers: Vec<u32>,
     /// Element size in bytes per candidate's operand loads (by static inst).
     elem_size: HashMap<InstId, u64>,
+    /// Counters of the replay that built the graph.
+    stats: ReplayStats,
 }
 
 impl Ddg {
@@ -166,20 +173,10 @@ impl Ddg {
     ///
     /// # Panics
     ///
-    /// Panics if the trace overflows `u32` node ids (≥ 2^32 − 1 nodes); use
-    /// [`Ddg::try_build`] to handle that case as an error.
+    /// Panics on any [`BuildError`] (a trace overflowing `u32` node ids, or
+    /// a malformed one); use [`Ddg::try_build`] to handle those as errors.
     pub fn build(module: &Module, trace: &Trace) -> Ddg {
-        Ddg::try_build(module, trace).expect("DDG node ids overflowed u32")
-    }
-
-    /// Like [`Ddg::build`], but with an explicit [`CandidatePolicy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace overflows `u32` node ids (≥ 2^32 − 1 nodes); use
-    /// [`Ddg::try_build_with_policy`] to handle that case as an error.
-    pub fn build_with_policy(module: &Module, trace: &Trace, policy: CandidatePolicy) -> Ddg {
-        Ddg::try_build_with_policy(module, trace, policy).expect("DDG node ids overflowed u32")
+        Ddg::try_build(module, trace).expect("DDG build failed")
     }
 
     /// Fallible variant of [`Ddg::build`].
@@ -187,25 +184,45 @@ impl Ddg {
     /// # Errors
     ///
     /// Returns [`BuildError::TraceTooLarge`] if the trace would create
-    /// ≥ 2^32 − 1 nodes (the last id collides with [`EXTERNAL`]).
+    /// ≥ 2^32 − 1 nodes (the last id collides with [`EXTERNAL`]), and
+    /// [`BuildError::MissingAddress`] for a load or store event without an
+    /// address.
     pub fn try_build(module: &Module, trace: &Trace) -> Result<Ddg, BuildError> {
         Ddg::try_build_with_policy(module, trace, CandidatePolicy::FloatArith)
     }
 
-    /// Fallible variant of [`Ddg::build_with_policy`].
+    /// Like [`Ddg::try_build`], but with an explicit [`CandidatePolicy`].
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::TraceTooLarge`] if the trace would create
-    /// ≥ 2^32 − 1 nodes (the last id collides with [`EXTERNAL`]).
+    /// As for [`Ddg::try_build`].
     pub fn try_build_with_policy(
         module: &Module,
         trace: &Trace,
         policy: CandidatePolicy,
     ) -> Result<Ddg, BuildError> {
-        let mut b = Builder::new(module);
-        b.policy = policy;
-        b.run(trace)
+        let mut replay = Replay::new(module, policy, Builder(Ddg::empty()));
+        for event in trace {
+            replay.consume(event);
+        }
+        let (Builder(ddg), stats) = replay.finish()?;
+        Ok(Ddg { stats, ..ddg })
+    }
+
+    fn empty() -> Ddg {
+        Ddg {
+            nodes: Vec::new(),
+            op_offsets: vec![0],
+            op_writers: Vec::new(),
+            elem_size: HashMap::new(),
+            stats: ReplayStats::default(),
+        }
+    }
+
+    /// Counters of the replay that built the graph (all zero for
+    /// [`Ddg::synthetic`] graphs).
+    pub fn replay_stats(&self) -> &ReplayStats {
+        &self.stats
     }
 
     /// Number of nodes (dynamic instruction instances).
@@ -374,7 +391,7 @@ impl Ddg {
     ///
     /// Panics if a writer index is forward-referencing.
     pub fn synthetic(nodes: Vec<SyntheticNode>) -> Ddg {
-        let mut out = Builder::new_synthetic();
+        let mut out = Ddg::empty();
         for (i, n) in nodes.into_iter().enumerate() {
             for &w in &n.writers {
                 assert!(
@@ -382,35 +399,16 @@ impl Ddg {
                     "synthetic node {i} references future writer {w}"
                 );
             }
-            let class = match n.class {
-                SyntheticClass::Load => NodeClass::Load,
-                SyntheticClass::Store => NodeClass::Store,
-                SyntheticClass::Candidate => NodeClass::Candidate,
-                SyntheticClass::Other => NodeClass::Other,
-            };
-            out.push_node(n.inst, n.addr, class, &n.writers)
-                .expect("synthetic graph overflowed u32 node ids");
+            let overflow = "synthetic graph overflowed u32 node ids";
+            checked_node_id(i).expect(overflow);
+            let (inst, addr, class) = (n.inst, n.addr, n.class);
+            out.nodes.push(Node { inst, addr, class });
+            out.op_writers.extend_from_slice(&n.writers);
+            let end = checked_node_id(out.op_writers.len()).expect(overflow);
+            out.op_offsets.push(end);
         }
-        Ddg {
-            nodes: out.nodes,
-            op_offsets: out.op_offsets,
-            op_writers: out.op_writers,
-            elem_size: out.elem_size,
-        }
+        out
     }
-}
-
-/// Node classification for [`Ddg::synthetic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyntheticClass {
-    /// A memory read (its `addr` feeds operand address tuples).
-    Load,
-    /// A memory write.
-    Store,
-    /// A floating-point candidate instance.
-    Candidate,
-    /// Anything else.
-    Other,
 }
 
 /// One node description for [`Ddg::synthetic`].
@@ -421,327 +419,43 @@ pub struct SyntheticNode {
     /// Memory address (meaningful for loads/stores; 0 otherwise).
     pub addr: u64,
     /// Classification.
-    pub class: SyntheticClass,
+    pub class: NodeClass,
     /// Operand writers in operand order ([`EXTERNAL`] allowed).
     pub writers: Vec<u32>,
 }
 
-/// Base-2 log of the shadow page size: 4096 byte-addresses per page.
-const PAGE_BITS: u64 = 12;
-/// Slots per shadow page.
-const PAGE_SLOTS: usize = 1 << PAGE_BITS;
+/// The batch DDG as a replay sink: every instance becomes a node whose
+/// CSR operand writers are its producers' node ids ([`EXTERNAL`] for none).
+struct Builder(Ddg);
 
-/// One page of the memory shadow: the last writer node and its write size
-/// for every base address in a 4 KiB-aligned address range. Slots with
-/// `nodes == EXTERNAL` are empty.
-struct ShadowPage {
-    nodes: Box<[u32]>,
-    sizes: Box<[u8]>,
-}
+impl replay::Payload for Option<u32> {}
 
-/// Paged direct-map shadow of the most recent memory write per base
-/// address (the layout the streaming engine's packed shadows proved).
-/// Hot probes index a flat page instead of hashing every base in the
-/// 15-wide overlap window; pages stay sparse in a map keyed by
-/// `addr >> PAGE_BITS`, so writes anywhere in the `u64` address space —
-/// including the saturating probes near `u64::MAX` exercised by the
-/// overlap regression tests — cost one page, not an address-space-sized
-/// table.
-struct MemShadow {
-    pages: HashMap<u64, ShadowPage>,
-}
+impl replay::Sink for Builder {
+    type Reg = Option<u32>;
+    /// A store's node id is its shadow entry's sequence number.
+    type Mem = ();
 
-impl MemShadow {
-    fn new() -> MemShadow {
-        MemShadow {
-            pages: HashMap::new(),
+    fn node(&mut self, node: &replay::Node<'_, Option<u32>, ()>) {
+        let g = &mut self.0;
+        g.op_writers
+            .extend(node.operands().map(|w| w.unwrap_or(EXTERNAL)));
+        if node.class == NodeClass::Load {
+            g.op_writers.push(node.mem.map_or(EXTERNAL, |(seq, _)| seq));
+        } else if node.class == NodeClass::Candidate {
+            // Record the element size for the stride analysis.
+            g.elem_size.entry(node.inst).or_insert(node.size.into());
         }
+        // The replay bounds node ids and the operand array by `u32`.
+        g.op_offsets.push(g.op_writers.len() as u32);
+        let (inst, addr, class) = (node.inst, node.addr, node.class);
+        g.nodes.push(Node { inst, addr, class });
     }
 
-    /// Records `node` as the most recent writer at base `addr` with write
-    /// size `size` (at most 8 bytes).
-    fn insert(&mut self, addr: u64, node: u32, size: u64) {
-        debug_assert!(size <= u8::MAX as u64, "write size fits the shadow");
-        let page = self
-            .pages
-            .entry(addr >> PAGE_BITS)
-            .or_insert_with(|| ShadowPage {
-                nodes: vec![EXTERNAL; PAGE_SLOTS].into_boxed_slice(),
-                sizes: vec![0u8; PAGE_SLOTS].into_boxed_slice(),
-            });
-        let slot = (addr & (PAGE_SLOTS as u64 - 1)) as usize;
-        page.nodes[slot] = node;
-        page.sizes[slot] = size as u8;
-    }
-}
-
-struct Builder<'m> {
-    module: Option<&'m Module>,
-    nodes: Vec<Node>,
-    op_offsets: Vec<u32>,
-    op_writers: Vec<u32>,
-    /// (activation, register) -> writer node.
-    reg_writers: HashMap<(u32, u32), u32>,
-    /// Write base address -> (writer node, write size). Reads resolve to
-    /// the most recent write overlapping any byte of the read (see
-    /// [`Builder::mem_writer_for`]).
-    mem_writers: MemShadow,
-    /// Open calls: (callee activation, caller activation, dst register).
-    call_stack: Vec<(u32, u32, Option<u32>)>,
-    elem_size: HashMap<InstId, u64>,
-    policy: CandidatePolicy,
-}
-
-impl<'m> Builder<'m> {
-    fn new_synthetic() -> Builder<'static> {
-        Builder {
-            module: None,
-            nodes: Vec::new(),
-            op_offsets: vec![0],
-            op_writers: Vec::new(),
-            reg_writers: HashMap::new(),
-            mem_writers: MemShadow::new(),
-            call_stack: Vec::new(),
-            elem_size: HashMap::new(),
-            policy: CandidatePolicy::FloatArith,
-        }
+    fn write_reg(&mut self, dst: &mut Option<u32>) {
+        *dst = Some(self.0.nodes.len() as u32 - 1);
     }
 
-    fn new(module: &'m Module) -> Self {
-        Builder {
-            module: Some(module),
-            nodes: Vec::new(),
-            op_offsets: vec![0],
-            op_writers: Vec::new(),
-            reg_writers: HashMap::new(),
-            mem_writers: MemShadow::new(),
-            call_stack: Vec::new(),
-            elem_size: HashMap::new(),
-            policy: CandidatePolicy::FloatArith,
-        }
-    }
-
-    /// The most recent write overlapping the read `[addr, addr + size)`.
-    ///
-    /// Scans every base address that an overlapping write could have been
-    /// recorded under: the 7 bytes below `addr` (accesses are at most
-    /// 8 bytes) plus every byte inside the read. All hits compete on
-    /// recency — node ids increase in execution order, so the youngest
-    /// overlapping writer is simply the largest id. An exact-base hit gets
-    /// no shortcut: a newer write at a *different* base can overlap the
-    /// read and must win (mixed-size aliased stores, see `overlap_tests`).
-    ///
-    /// The window arithmetic saturates so addresses at the very top of the
-    /// `u64` space cannot overflow; a write whose extent wraps past
-    /// `u64::MAX` is treated as overlapping (conservative, unreachable
-    /// through the in-repo memory model).
-    fn mem_writer_for(&self, addr: u64, size: u64) -> u32 {
-        if size == 0 {
-            return EXTERNAL;
-        }
-        let mut best = EXTERNAL;
-        let lo = addr.saturating_sub(7);
-        let hi = addr.saturating_add(size - 1); // last byte of the read
-                                                // The probe window is at most 15 bases wide, so it touches at most
-                                                // two shadow pages; cache the current page across iterations.
-        let mut cached: Option<(u64, Option<&ShadowPage>)> = None;
-        for base in lo..=hi {
-            let page_id = base >> PAGE_BITS;
-            let page = match &cached {
-                Some((id, p)) if *id == page_id => *p,
-                _ => {
-                    let p = self.mem_writers.pages.get(&page_id);
-                    cached = Some((page_id, p));
-                    p
-                }
-            };
-            let Some(page) = page else { continue };
-            let slot = (base & (PAGE_SLOTS as u64 - 1)) as usize;
-            let n = page.nodes[slot];
-            if n == EXTERNAL {
-                continue;
-            }
-            let ws = page.sizes[slot] as u64;
-            // `base <= hi` already holds; overlap needs the write to
-            // reach back to `addr` (always true for bases >= addr).
-            let reaches = ws > 0 && base.checked_add(ws - 1).is_none_or(|end| end >= addr);
-            if reaches && (best == EXTERNAL || n > best) {
-                best = n;
-            }
-        }
-        best
-    }
-
-    fn writer_of(&self, activation: u32, v: Value) -> u32 {
-        match v {
-            Value::Reg(r) => self
-                .reg_writers
-                .get(&(activation, r.0))
-                .copied()
-                .unwrap_or(EXTERNAL),
-            _ => EXTERNAL,
-        }
-    }
-
-    fn run(mut self, trace: &Trace) -> Result<Ddg, BuildError> {
-        for event in trace {
-            match event.kind {
-                EventKind::Plain { addr } => self.plain(event.inst, event.activation, addr)?,
-                EventKind::Call { callee_activation } => {
-                    self.call(event.inst, event.activation, callee_activation)
-                }
-                EventKind::Ret => self.ret(event.inst, event.activation),
-            }
-        }
-        Ok(Ddg {
-            nodes: self.nodes,
-            op_offsets: self.op_offsets,
-            op_writers: self.op_writers,
-            elem_size: self.elem_size,
-        })
-    }
-
-    fn push_node(
-        &mut self,
-        inst: InstId,
-        addr: u64,
-        class: NodeClass,
-        writers: &[u32],
-    ) -> Result<u32, BuildError> {
-        let id = checked_node_id(self.nodes.len())?;
-        self.nodes.push(Node { inst, addr, class });
-        self.op_writers.extend_from_slice(writers);
-        self.op_offsets
-            .push(checked_node_id(self.op_writers.len())?);
-        Ok(id)
-    }
-
-    fn plain(&mut self, inst_id: InstId, act: u32, addr: Option<u64>) -> Result<(), BuildError> {
-        let Some(inst) = self
-            .module
-            .expect("trace builder has a module")
-            .inst(inst_id)
-        else {
-            return Ok(()); // terminator or unknown: Ret handled separately
-        };
-        match &inst.kind {
-            InstKind::Load {
-                dst,
-                addr: addr_op,
-                ty,
-            } => {
-                let a = addr.expect("load event carries an address");
-                let writers = vec![
-                    self.writer_of(act, *addr_op),
-                    self.mem_writer_for(a, ty.size()),
-                ];
-                let n = self.push_node(inst_id, a, NodeClass::Load, &writers)?;
-                self.reg_writers.insert((act, dst.0), n);
-                let _ = ty;
-            }
-            InstKind::Store {
-                addr: addr_op,
-                value,
-                ty,
-            } => {
-                let a = addr.expect("store event carries an address");
-                let writers = [self.writer_of(act, *addr_op), self.writer_of(act, *value)];
-                let n = self.push_node(inst_id, a, NodeClass::Store, &writers)?;
-                self.mem_writers.insert(a, n, ty.size());
-            }
-            other => {
-                let mut writers = Vec::new();
-                inst.for_each_use(|v| writers.push(self.writer_of(act, v)));
-                let int_candidate = self.policy == CandidatePolicy::IntAndFloatArith
-                    && matches!(
-                        &inst.kind,
-                        InstKind::Bin { ty, .. } if ty.is_int()
-                    );
-                let class = if inst.is_fp_candidate() || int_candidate {
-                    // Record the element size for the stride analysis.
-                    if let InstKind::Bin { ty, .. } = other {
-                        self.elem_size.entry(inst_id).or_insert(ty.size());
-                    }
-                    NodeClass::Candidate
-                } else {
-                    let float_result = match other {
-                        InstKind::Cast { to, .. } => to.is_float(),
-                        InstKind::Un { ty, .. } | InstKind::Intrin { ty, .. } => ty.is_float(),
-                        InstKind::Bin { ty, .. } => ty.is_float(),
-                        _ => false,
-                    };
-                    if float_result {
-                        NodeClass::FloatOther
-                    } else {
-                        NodeClass::Other
-                    }
-                };
-                let n = self.push_node(inst_id, 0, class, &writers)?;
-                if let Some(dst) = inst.dst() {
-                    self.reg_writers.insert((act, dst.0), n);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn call(&mut self, inst_id: InstId, act: u32, callee_act: u32) {
-        let Some(inst) = self
-            .module
-            .expect("trace builder has a module")
-            .inst(inst_id)
-        else {
-            return;
-        };
-        let InstKind::Call { dst, callee, args } = &inst.kind else {
-            return;
-        };
-        // Parameters in the callee activation are defined by the caller-side
-        // producers of the arguments (no call node: dependences pass
-        // through).
-        let callee_fn = self
-            .module
-            .expect("trace builder has a module")
-            .function(*callee);
-        for (i, arg) in args.iter().enumerate() {
-            let w = self.writer_of(act, *arg);
-            if w != EXTERNAL {
-                let param = callee_fn.params()[i];
-                self.reg_writers.insert((callee_act, param.0), w);
-            }
-        }
-        self.call_stack.push((callee_act, act, dst.map(|d| d.0)));
-    }
-
-    fn ret(&mut self, inst_id: InstId, act: u32) {
-        // The returned value's producer becomes the writer of the caller's
-        // destination register.
-        let Some((callee_act, caller_act, dst)) = self.call_stack.pop() else {
-            return; // capture started inside this activation; nothing to link
-        };
-        if callee_act != act {
-            // Mismatched linkage (capture started mid-call): restore and
-            // bail out conservatively.
-            self.call_stack.push((callee_act, caller_act, dst));
-            return;
-        }
-        let ret_writer = self
-            .module
-            .expect("trace builder has a module")
-            .terminator(inst_id)
-            .and_then(|t| match t.kind {
-                TermKind::Ret(Some(v)) => Some(self.writer_of(act, v)),
-                _ => None,
-            })
-            .unwrap_or(EXTERNAL);
-        if let Some(d) = dst {
-            if ret_writer != EXTERNAL {
-                self.reg_writers.insert((caller_act, d), ret_writer);
-            } else {
-                self.reg_writers.remove(&(caller_act, d));
-            }
-        }
-    }
+    fn write_mem(&mut self, _: &mut ()) {}
 }
 
 #[cfg(test)]
@@ -1040,6 +754,7 @@ mod subtrace_tests {
 mod overlap_tests {
     use super::*;
     use vectorscope_interp::{CaptureSpec, Vm};
+    use vectorscope_ir::InstKind;
 
     fn program_ddg(src: &str) -> (Module, Ddg) {
         let module = vectorscope_frontend::compile("ov.kern", src).unwrap();

@@ -98,8 +98,8 @@ pub fn analyze(
                 has_body[iter as usize] = true;
             }
         }
-        // Mirror the builder: only Plain events with a known (non-terminator)
-        // instruction create nodes.
+        // As in the replay core: only Plain events with a known
+        // (non-terminator) instruction create nodes.
         if matches!(event.kind, EventKind::Plain { .. }) && module.inst(event.inst).is_some() {
             node_iteration.push(if iter < 0 { u32::MAX } else { iter as u32 });
         }

@@ -1,7 +1,6 @@
 use crate::func::{BlockId, Function};
 use crate::inst::{Inst, InstId, Span, Terminator};
 use crate::types::ScalarTy;
-use std::collections::HashMap;
 
 /// Identifier of a function within a [`Module`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -74,7 +73,10 @@ pub struct Module {
     funcs: Vec<Function>,
     globals: Vec<Global>,
     next_inst_id: u32,
-    inst_locs: std::sync::OnceLock<HashMap<InstId, InstLoc>>,
+    /// Location per static instruction id, indexed by id and sized by the
+    /// largest id present (the textual parser may recover ids out of
+    /// order, or beyond the numbering counter).
+    inst_locs: std::sync::OnceLock<Vec<Option<InstLoc>>>,
 }
 
 impl Module {
@@ -179,7 +181,7 @@ impl Module {
     /// Built lazily and cached; any structural mutation through the builder
     /// invalidates the cache.
     pub fn inst_loc(&self, id: InstId) -> Option<InstLoc> {
-        self.loc_map().get(&id).copied()
+        self.loc_table().get(id.index()).copied().flatten()
     }
 
     /// The instruction at static id `id`, or `None` if `id` names a
@@ -215,34 +217,31 @@ impl Module {
         }
     }
 
-    fn loc_map(&self) -> &HashMap<InstId, InstLoc> {
+    fn loc_table(&self) -> &[Option<InstLoc>] {
         self.inst_locs.get_or_init(|| {
-            let mut map = HashMap::new();
+            let mut table: Vec<Option<InstLoc>> = Vec::new();
+            let mut set = |id: InstId, loc: InstLoc| {
+                if id.index() >= table.len() {
+                    table.resize(id.index() + 1, None);
+                }
+                table[id.index()] = Some(loc);
+            };
             for (fi, func) in self.funcs.iter().enumerate() {
                 for (bi, block) in func.blocks().iter().enumerate() {
+                    let at = |index| InstLoc {
+                        func: FuncId(fi as u32),
+                        block: BlockId(bi as u32),
+                        index,
+                    };
                     for (ii, inst) in block.insts.iter().enumerate() {
-                        map.insert(
-                            inst.id,
-                            InstLoc {
-                                func: FuncId(fi as u32),
-                                block: BlockId(bi as u32),
-                                index: ii,
-                            },
-                        );
+                        set(inst.id, at(ii));
                     }
                     if let Some(term) = &block.term {
-                        map.insert(
-                            term.id,
-                            InstLoc {
-                                func: FuncId(fi as u32),
-                                block: BlockId(bi as u32),
-                                index: block.insts.len(),
-                            },
-                        );
+                        set(term.id, at(block.insts.len()));
                     }
                 }
             }
-            map
+            table
         })
     }
 

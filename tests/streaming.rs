@@ -5,12 +5,17 @@
 //! that reports are **byte-identical** to the batch engine's: same JSON,
 //! same goldens, same behavior at every thread count. These tests enforce
 //! that over every bundled kernel, over the checked-in golden snapshots,
-//! and over proptest-generated random programs — plus a regression test
-//! pinning the overlapping-store dependence fix in *both* engines.
+//! and over proptest-generated random programs — plus regression tests
+//! pinning the overlapping-store dependence fix, bounded register state and
+//! malformed-trace errors in *both* engines.
 
 use proptest::prelude::*;
 use vectorscope::json::suite_json;
-use vectorscope::{analyze_program, analyze_source, stream_program, AnalysisOptions};
+use vectorscope::metrics::MetricOptions;
+use vectorscope::{
+    analyze_program, analyze_source, stream_program, AnalysisOptions, CandidatePolicy,
+    StreamingAnalyzer,
+};
 
 /// Renders the canonical JSON report with the given engine and threads.
 fn report_json(name: &str, source: &str, streaming: bool, threads: usize) -> String {
@@ -187,6 +192,160 @@ fn overlapping_store_serializes_the_chain_in_both_engines() {
         );
     }
     assert_eq!(batch.metrics, streamed.metrics);
+}
+
+/// A loop calling a three-line function `calls` times, as a compiled
+/// module.
+fn calling_module(calls: u32) -> vectorscope_ir::Module {
+    let src = format!(
+        r#"
+        double half_plus_one(double x) {{
+            double y = x * 0.5;
+            return y + 1.0;
+        }}
+        double out = 0.0;
+        void main() {{
+            for (int i = 0; i < {calls}; i++) {{ out = half_plus_one(out); }}
+        }}
+    "#
+    );
+    vectorscope_frontend::compile("calls.kern", &src).unwrap()
+}
+
+/// Regression test for the register-shadow leak: register state is kept
+/// per activation and dropped at its return, so its peak depends on the
+/// call depth, not on how many calls ran. (Keyed by `(activation,
+/// register)` and never dropped, the streaming register shadows peaked at
+/// 4,007, 16,007 and 64,007 entries for these call counts.)
+#[test]
+fn register_state_stays_constant_in_the_number_of_calls() {
+    let options = AnalysisOptions {
+        threads: 1,
+        ..AnalysisOptions::default()
+    };
+    let mut stream_peaks = Vec::new();
+    let mut ddg_peaks = Vec::new();
+    for calls in [1_000, 4_000, 16_000] {
+        let module = calling_module(calls);
+        let outcome = stream_program(&module, &options).unwrap();
+        assert_eq!(outcome.metrics.total_ops, 2 * calls as u64);
+        stream_peaks.push(outcome.stats.peak_reg_shadow);
+
+        let mut vm = vectorscope_interp::Vm::new(&module);
+        vm.set_capture(vectorscope_interp::CaptureSpec::Program, "all");
+        vm.run_main().unwrap();
+        let trace = vm.take_trace().unwrap();
+        drop(vm);
+        let ddg = vectorscope_ddg::Ddg::build(&module, &trace);
+        let stats = ddg.replay_stats();
+        ddg_peaks.push((stats.peak_frames, stats.peak_reg_slots));
+    }
+    assert!(
+        stream_peaks.iter().all(|&p| p == stream_peaks[0]),
+        "streaming register shadows grow with the call count: {stream_peaks:?}"
+    );
+    assert!(
+        ddg_peaks.iter().all(|&p| p == ddg_peaks[0]),
+        "DDG replay frames grow with the call count: {ddg_peaks:?}"
+    );
+    assert_eq!(ddg_peaks[0].0, 2, "main plus one callee frame at a time");
+    assert_eq!(
+        ddg_peaks[0].1, stream_peaks[0],
+        "both sinks share the frames"
+    );
+}
+
+/// `y = x * 2.0` on two global doubles, compiled, with the static ids of
+/// its load, multiply and store.
+fn scale_module() -> (vectorscope_ir::Module, [vectorscope_ir::InstId; 3]) {
+    use vectorscope_ir::InstKind;
+    let src = "double x; double y; void main() { y = x * 2.0; }";
+    let module = vectorscope_frontend::compile("scale.kern", src).unwrap();
+    let main = module.function(module.lookup_function("main").unwrap());
+    let insts: Vec<_> = main.blocks().iter().flat_map(|b| &b.insts).collect();
+    let find = |want: fn(&InstKind) -> bool| insts.iter().find(|i| want(&i.kind)).unwrap().id;
+    let ids = [
+        find(|k| matches!(k, InstKind::Load { .. })),
+        find(|k| matches!(k, InstKind::Bin { .. })),
+        find(|k| matches!(k, InstKind::Store { .. })),
+    ];
+    (module, ids)
+}
+
+/// Streams `trace` through a fresh [`StreamingAnalyzer`].
+fn stream_trace(
+    module: &vectorscope_ir::Module,
+    trace: &vectorscope_trace::Trace,
+) -> Result<vectorscope::StreamOutcome, vectorscope_ddg::BuildError> {
+    let mut analyzer = StreamingAnalyzer::new(module, CandidatePolicy::FloatArith);
+    for event in trace {
+        analyzer.consume(event);
+    }
+    analyzer.finish(&MetricOptions::default())
+}
+
+/// A decodable trace whose load or store event has no address is
+/// rejected with a typed error naming the event, by both entry points.
+#[test]
+fn address_less_memory_events_are_typed_errors_in_both_engines() {
+    use vectorscope_trace::{Trace, TraceEvent};
+    let (module, [load, mul, store]) = scale_module();
+    for (bad, index) in [(load, 2), (store, 2)] {
+        let mut trace = Trace::new("bad");
+        trace.push(TraceEvent::plain(load, 0, Some(0x100)));
+        trace.push(TraceEvent::plain(mul, 0, None));
+        trace.push(TraceEvent::plain(bad, 0, None));
+        trace.push(TraceEvent::plain(store, 0, Some(0x108)));
+        let expected = vectorscope_ddg::BuildError::MissingAddress {
+            event: index,
+            inst: bad,
+        };
+        assert_eq!(
+            vectorscope_ddg::Ddg::try_build(&module, &trace).err(),
+            Some(expected.clone())
+        );
+        assert_eq!(stream_trace(&module, &trace).err(), Some(expected));
+    }
+}
+
+/// An 8-byte store whose base lies in the last 7 bytes of one memory
+/// shadow page overlaps a load at the next page's first byte (and, the
+/// other way round, a store at a page's first byte overlaps an 8-byte load
+/// based in the previous page's last 7 bytes); both sinks must resolve the
+/// load to that store, serializing the two multiplies.
+#[test]
+fn a_store_straddling_a_shadow_page_feeds_the_next_pages_first_byte() {
+    use vectorscope_ddg::replay::PAGE_BYTES;
+    use vectorscope_trace::{Trace, TraceEvent};
+    let (module, [load, mul, store]) = scale_module();
+    let page = 3 * PAGE_BYTES;
+    let straddling = (1..=7).map(|offset| (page - offset, page));
+    let reaching_back = (1..=7).map(|offset| (page, page - offset));
+    for (store_at, load_at) in straddling.chain(reaching_back) {
+        let mut trace = Trace::new("straddle");
+        trace.push(TraceEvent::plain(load, 0, Some(0x100)));
+        trace.push(TraceEvent::plain(mul, 0, None));
+        trace.push(TraceEvent::plain(store, 0, Some(store_at)));
+        trace.push(TraceEvent::plain(load, 0, Some(load_at)));
+        trace.push(TraceEvent::plain(mul, 0, None));
+        trace.push(TraceEvent::plain(store, 0, Some(0x108)));
+
+        let ddg = vectorscope_ddg::Ddg::try_build(&module, &trace).unwrap();
+        assert_eq!(
+            ddg.operand_writers(3)[1],
+            2,
+            "store at {store_at:#x}: the load's memory writer"
+        );
+        let streamed = stream_trace(&module, &trace).unwrap();
+        assert_eq!(streamed.per_inst.len(), 1);
+        assert_eq!(
+            streamed.per_inst[0].partitions, 2,
+            "store at {store_at:#x}: the multiplies form a chain"
+        );
+        let (batch, _) =
+            vectorscope::metrics::analyze_ddg(&module, &ddg, &MetricOptions::default());
+        assert_eq!(batch, streamed.metrics);
+    }
 }
 
 /// `break_reductions` needs the whole graph, so the driver silently falls
