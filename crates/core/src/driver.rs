@@ -7,9 +7,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use vectorscope_ddg::{BuildError, CandidatePolicy, Ddg};
 use vectorscope_frontend::CompileError;
-use vectorscope_interp::{CaptureSpec, Engine, Vm, VmError, VmOptions};
+use vectorscope_interp::{CaptureSpec, Engine, LoopProfile, Vm, VmError, VmOptions};
 use vectorscope_ir::loops::LoopId;
 use vectorscope_ir::{FuncId, Module};
+use vectorscope_trace::Trace;
 
 /// Any failure of the end-to-end pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -325,177 +326,14 @@ pub fn analyze_source(
     options: &AnalysisOptions,
 ) -> Result<SuiteReport, Error> {
     let module = vectorscope_frontend::compile(name, source)?;
-
-    // Profiling run.
-    let mut vm = Vm::with_options(&module, options.vm_options());
-    vm.run_main()?;
-    let hot = vm
-        .profiler()
-        .hot_loops(&module, vm.forests(), options.hot_threshold_pct);
-    let inst_counts = vm.inst_counts().to_vec();
-    let branch_taken = vm.branch_taken().to_vec();
-
-    // Plan every (loop, instance) capture, then run once.
-    struct Plan {
-        func: FuncId,
-        loop_id: LoopId,
-        line: u32,
-        percent: f64,
-        n_traces: usize,
-    }
+    let profile = profile_hot_loops(&module, options)?;
     // With `break_reductions` the analysis needs the whole dependence
     // graph, so the streaming engine silently defers to the batch one.
-    let use_streaming = options.streaming && !options.break_reductions;
-    let mut cap_vm = Vm::with_options(&module, options.vm_options());
-    let mut plans: Vec<Plan> = Vec::new();
-    let mut cells: Vec<Rc<RefCell<StreamingAnalyzer<'_>>>> = Vec::new();
-    for h in &hot {
-        let func = h.profile.key.func;
-        let loop_id = h.profile.key.loop_id;
-        let function = module.function(func);
-        let line = vm.forests()[func.index()].span_of(function, loop_id).line;
-        if h.profile.entries == 0 {
-            return Err(Error::EmptyTrace {
-                func: function.name().to_string(),
-                line,
-            });
-        }
-        let label = format!("{}:{}", function.name(), line);
-        let instances = sampled_instances(options.loop_instance, h.profile.entries);
-        for &instance in &instances {
-            let spec = CaptureSpec::Loop {
-                func,
-                loop_id,
-                instance,
-            };
-            if use_streaming {
-                let cell = Rc::new(RefCell::new(StreamingAnalyzer::new(
-                    &module,
-                    options.candidate_policy(),
-                )));
-                let sink_cell = Rc::clone(&cell);
-                cap_vm.add_sink(spec, Box::new(move |e| sink_cell.borrow_mut().consume(e)));
-                cells.push(cell);
-            } else {
-                cap_vm.add_capture(spec, &label);
-            }
-        }
-        plans.push(Plan {
-            func,
-            loop_id,
-            line,
-            percent: h.profile.percent,
-            n_traces: instances.len(),
-        });
-    }
-    // Both VMs hold boxed capture state borrowing `module`; drop them
-    // before `module` moves into the returned report. The profiling VM's
-    // last use was `forests()` in the plan loop above.
-    drop(vm);
-    if !plans.is_empty() {
-        cap_vm.run_main()?;
-    }
-
-    if use_streaming {
-        drop(cap_vm); // releases the sink closures' Rc clones
-        let mut analyzers = cells.into_iter().map(|c| {
-            Rc::try_unwrap(c)
-                .ok()
-                .expect("sink closures dropped with the VM")
-                .into_inner()
-        });
-        let mut loops = Vec::with_capacity(plans.len());
-        for p in plans {
-            let plan_analyzers: Vec<_> = analyzers.by_ref().take(p.n_traces).collect();
-            let Some(outcome) = best_of_streams(plan_analyzers, &options.metric_options())? else {
-                return Err(Error::EmptyTrace {
-                    func: module.function(p.func).name().to_string(),
-                    line: p.line,
-                });
-            };
-            let mut report = make_report(
-                &module,
-                p.func,
-                p.loop_id,
-                p.line,
-                p.percent,
-                outcome.metrics,
-                outcome.per_inst,
-                outcome.nodes,
-            );
-            report.control_irregularity = crate::control::loop_irregularity(
-                &module,
-                p.func,
-                p.loop_id,
-                &inst_counts,
-                &branch_taken,
-            );
-            loops.push(report);
-        }
-        drop(analyzers); // analyzers borrow `module`, which moves below
-        loops.sort_by(|a, b| {
-            b.percent_cycles
-                .partial_cmp(&a.percent_cycles)
-                .expect("percentages are finite")
-        });
-        return Ok(SuiteReport { module, loops });
-    }
-
-    // Hand each plan its slice of the captured traces and fan the
-    // per-(loop, instance) sub-trace analyses — DDG construction,
-    // Algorithm 1, and the stride stage — across the work pool. Workers
-    // return into pre-indexed slots (plan order), and a worker's failure
-    // surfaces as the lowest-indexed error, so the result is identical to
-    // the sequential engine's at every thread count. The stride stage
-    // inside each worker stays single-threaded ([`AnalysisOptions::
-    // worker_metric_options`]) unless there is only one plan to analyze.
-    let mut traces = cap_vm.take_traces().into_iter();
-    drop(cap_vm);
-    let work: Vec<(Plan, Vec<vectorscope_trace::Trace>)> = plans
-        .into_iter()
-        .map(|p| {
-            let loop_traces: Vec<_> = traces.by_ref().take(p.n_traces).collect();
-            (p, loop_traces)
-        })
-        .collect();
-    let metric_options = if work.len() > 1 {
-        options.worker_metric_options()
+    let loops = if options.streaming && !options.break_reductions {
+        stream_plans(&module, options, &profile)?
     } else {
-        options.metric_options()
+        analyze_plans(&module, options, &profile, |report, _ddg| Ok(report))?
     };
-    let mut loops = rayon_lite::try_par_map(options.threads, &work, |_, (p, loop_traces)| {
-        let Some((ddg, metrics, per_inst)) =
-            best_of_traces(&module, options, &metric_options, loop_traces)?
-        else {
-            return Err(Error::EmptyTrace {
-                func: module.function(p.func).name().to_string(),
-                line: p.line,
-            });
-        };
-        let mut report = make_report(
-            &module,
-            p.func,
-            p.loop_id,
-            p.line,
-            p.percent,
-            metrics,
-            per_inst,
-            ddg.len(),
-        );
-        report.control_irregularity = crate::control::loop_irregularity(
-            &module,
-            p.func,
-            p.loop_id,
-            &inst_counts,
-            &branch_taken,
-        );
-        Ok(report)
-    })?;
-    loops.sort_by(|a, b| {
-        b.percent_cycles
-            .partial_cmp(&a.percent_cycles)
-            .expect("percentages are finite")
-    });
     Ok(SuiteReport { module, loops })
 }
 
@@ -532,35 +370,116 @@ pub fn analyze_sources(
 /// Captures and analyzes one dynamic instance of one loop of `module`.
 ///
 /// Runs a profiling pass first so the report's *Percent Cycles* is filled
-/// in.
+/// in, then the same capture-and-analyze core as [`analyze_source`] with
+/// this one loop planned, so the report equals the loop's suite row.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Vm`] if execution fails and [`Error::EmptyTrace`] if
-/// the loop is never entered.
+/// Returns [`Error::Vm`] if execution fails, [`Error::EmptyTrace`] if
+/// the loop is never entered and [`Error::TraceUnavailable`] if `loop_id`
+/// names no loop of `func`.
 pub fn analyze_loop(
     module: &Module,
     func: FuncId,
     loop_id: LoopId,
     options: &AnalysisOptions,
 ) -> Result<LoopAnalysis, Error> {
+    let profile = profile(module, options, |vm| {
+        let mut profiles = vm.profiler().profiles(module, vm.forests());
+        profiles.retain(|p| p.key.func == func && p.key.loop_id == loop_id);
+        profiles
+    })?;
+    analyze_plans(module, options, &profile, |report, ddg| {
+        Ok(LoopAnalysis { report, ddg })
+    })?
+    .pop()
+    .ok_or_else(|| Error::TraceUnavailable {
+        what: format!(
+            "loop #{} of function #{} (no such loop)",
+            loop_id.index(),
+            func.index()
+        ),
+    })
+}
+
+/// One loop's capture plan: where it is, how hot it ran and which of its
+/// dynamic instances to capture.
+struct Plan {
+    func: FuncId,
+    loop_id: LoopId,
+    line: u32,
+    percent: f64,
+    instances: Vec<u64>,
+}
+
+impl Plan {
+    fn empty_trace(&self, module: &Module) -> Error {
+        Error::EmptyTrace {
+            func: module.function(self.func).name().to_string(),
+            line: self.line,
+        }
+    }
+}
+
+/// What the profiling run hands the capture core: the plans, hottest
+/// first, and the execution counts behind the control-irregularity metric.
+pub(crate) struct Profile {
+    plans: Vec<Plan>,
+    inst_counts: Vec<u64>,
+    branch_taken: Vec<u64>,
+}
+
+/// Runs the profiling pass and plans a capture for every loop `select`
+/// picks from it.
+///
+/// A selected loop that was never entered cannot produce a trace, so this
+/// fails with [`Error::EmptyTrace`] before any capture run is spent (and
+/// before [`sampled_instances`], whose clamp needs `entries > 0`).
+fn profile(
+    module: &Module,
+    options: &AnalysisOptions,
+    select: impl FnOnce(&Vm<'_>) -> Vec<LoopProfile>,
+) -> Result<Profile, Error> {
     let mut vm = Vm::with_options(module, options.vm_options());
     vm.run_main()?;
-    let profiles = vm.profiler().profiles(module, vm.forests());
-    let (percent, entries) = profiles
-        .iter()
-        .find(|p| p.key.func == func && p.key.loop_id == loop_id)
-        .map(|p| (p.percent, p.entries))
-        .unwrap_or((0.0, 0));
-    let mut analysis = analyze_loop_inner(module, func, loop_id, options, percent, entries)?;
-    analysis.report.control_irregularity = crate::control::loop_irregularity(
-        module,
-        func,
-        loop_id,
-        vm.inst_counts(),
-        vm.branch_taken(),
-    );
-    Ok(analysis)
+    let mut plans = Vec::new();
+    for p in select(&vm) {
+        if p.entries == 0 {
+            return Err(Error::EmptyTrace {
+                func: p.func_name,
+                line: p.span.line,
+            });
+        }
+        plans.push(Plan {
+            func: p.key.func,
+            loop_id: p.key.loop_id,
+            line: p.span.line,
+            percent: p.percent,
+            instances: sampled_instances(options.loop_instance, p.entries),
+        });
+    }
+    // Reports come out in plan order: percent of cycles, descending.
+    plans.sort_by(|a, b| b.percent.total_cmp(&a.percent));
+    Ok(Profile {
+        plans,
+        inst_counts: vm.inst_counts().to_vec(),
+        branch_taken: vm.branch_taken().to_vec(),
+    })
+}
+
+/// Profiles `module` and plans its hot loops (≥ `hot_threshold_pct` of
+/// cycles).
+pub(crate) fn profile_hot_loops(
+    module: &Module,
+    options: &AnalysisOptions,
+) -> Result<Profile, Error> {
+    profile(module, options, |vm| {
+        vm.profiler()
+            .hot_loops(module, vm.forests(), options.hot_threshold_pct)
+            .into_iter()
+            .map(|h| h.profile)
+            .collect()
+    })
 }
 
 /// The dynamic loop instances to capture, per the sampling policy.
@@ -580,153 +499,176 @@ fn sampled_instances(pick: InstancePick, entries: u64) -> Vec<u64> {
     }
 }
 
-/// Analyzes each captured sub-trace and keeps the one with the most
-/// candidate operations (the paper's "representative subtrace"). Returns
-/// `None` if every trace is empty.
-fn best_of_traces(
-    module: &Module,
+/// Executes `main` once with every sampled (loop, instance) of `plans`
+/// armed through `arm` — as a buffered capture or a streaming sink — in
+/// plan order, and returns the VM holding the armed state.
+fn run_captures<'m>(
+    module: &'m Module,
     options: &AnalysisOptions,
-    metric_options: &MetricOptions,
-    traces: &[vectorscope_trace::Trace],
-) -> Result<
-    Option<(
-        Ddg,
-        crate::metrics::LoopMetrics,
-        Vec<crate::metrics::InstMetrics>,
-    )>,
-    Error,
-> {
-    let mut best: Option<(
-        Ddg,
-        crate::metrics::LoopMetrics,
-        Vec<crate::metrics::InstMetrics>,
-    )> = None;
-    for trace in traces {
-        if trace.is_empty() {
-            continue;
-        }
-        let ddg = Ddg::try_build_with_policy(module, trace, options.candidate_policy())?;
-        let (metrics, per_inst) = analyze_ddg(module, &ddg, metric_options);
-        let better = match &best {
-            None => true,
-            Some((_, m, _)) => metrics.total_ops > m.total_ops,
-        };
-        if better {
-            best = Some((ddg, metrics, per_inst));
-        }
-    }
-    Ok(best)
-}
-
-/// The streaming counterpart of [`best_of_traces`]: finishes each armed
-/// analyzer for one plan and keeps the outcome with the most candidate
-/// operations (ties go to the earliest instance, matching the batch
-/// engine's strict `>` comparison). Analyzers that saw no events
-/// correspond to empty traces and are skipped.
-fn best_of_streams(
-    analyzers: Vec<StreamingAnalyzer<'_>>,
-    metric_options: &MetricOptions,
-) -> Result<Option<StreamOutcome>, Error> {
-    let mut best: Option<StreamOutcome> = None;
-    for analyzer in analyzers {
-        if analyzer.events() == 0 {
-            continue;
-        }
-        let outcome = analyzer.finish(metric_options)?;
-        let better = match &best {
-            None => true,
-            Some(b) => outcome.metrics.total_ops > b.metrics.total_ops,
-        };
-        if better {
-            best = Some(outcome);
-        }
-    }
-    Ok(best)
-}
-
-fn analyze_loop_inner(
-    module: &Module,
-    func: FuncId,
-    loop_id: LoopId,
-    options: &AnalysisOptions,
-    percent_cycles: f64,
-    entries: u64,
-) -> Result<LoopAnalysis, Error> {
-    let function = module.function(func);
-    let forest = vectorscope_ir::loops::LoopForest::new(function);
-    let line = forest.span_of(function, loop_id).line;
-
-    // A loop that was never entered cannot produce a trace; fail before
-    // spending a capture run (and before `sampled_instances`, whose clamp
-    // needs `entries > 0`).
-    if entries == 0 {
-        return Err(Error::EmptyTrace {
-            func: function.name().to_string(),
-            line,
-        });
-    }
-
-    // One execution captures every sampled instance simultaneously.
-    let label = format!("{}:{}", function.name(), line);
+    plans: &[Plan],
+    mut arm: impl FnMut(&mut Vm<'m>, CaptureSpec, &str),
+) -> Result<Vm<'m>, Error> {
     let mut vm = Vm::with_options(module, options.vm_options());
-    for &instance in &sampled_instances(options.loop_instance, entries) {
-        vm.add_capture(
-            CaptureSpec::Loop {
-                func,
-                loop_id,
+    for p in plans {
+        let label = format!("{}:{}", module.function(p.func).name(), p.line);
+        for &instance in &p.instances {
+            let spec = CaptureSpec::Loop {
+                func: p.func,
+                loop_id: p.loop_id,
                 instance,
-            },
-            &label,
-        );
+            };
+            arm(&mut vm, spec, &label);
+        }
     }
-    vm.run_main()?;
-
-    let Some((ddg, metrics, per_inst)) = best_of_traces(
-        module,
-        options,
-        &options.metric_options(),
-        &vm.take_traces(),
-    )?
-    else {
-        return Err(Error::EmptyTrace {
-            func: function.name().to_string(),
-            line,
-        });
-    };
-    let report = make_report(
-        module,
-        func,
-        loop_id,
-        line,
-        percent_cycles,
-        metrics,
-        per_inst,
-        ddg.len(),
-    );
-    Ok(LoopAnalysis { report, ddg })
+    if !plans.is_empty() {
+        vm.run_main()?;
+    }
+    Ok(vm)
 }
 
-/// Assembles a report row from the analysis results.
-#[allow(clippy::too_many_arguments)]
+/// The capture-and-analyze core under [`analyze_source`], [`analyze_loop`]
+/// and [`crate::gap::analyze_gap`].
+///
+/// One run captures every plan's sampled sub-traces. The per-loop
+/// analyses — DDG construction, Algorithm 1 and the stride stage — then
+/// fan out across the work pool. Each worker keeps its loop's
+/// representative sub-trace and hands the report and DDG to `per_loop`,
+/// so the graph is queried, and dropped, in the worker that built it.
+/// Results come back in plan order and a failure surfaces as the
+/// lowest-indexed error, so the outcome is identical at every thread
+/// count. The stride stage inside each worker stays single-threaded
+/// ([`AnalysisOptions::worker_metric_options`]) unless there is only one
+/// plan.
+pub(crate) fn analyze_plans<T: Send>(
+    module: &Module,
+    options: &AnalysisOptions,
+    profile: &Profile,
+    per_loop: impl Fn(LoopReport, Ddg) -> Result<T, Error> + Sync,
+) -> Result<Vec<T>, Error> {
+    let plans = &profile.plans;
+    let mut traces = run_captures(module, options, plans, |vm, spec, label| {
+        vm.add_capture(spec, label)
+    })?
+    .take_traces()
+    .into_iter();
+    let work: Vec<(&Plan, Vec<Trace>)> = plans
+        .iter()
+        .map(|p| (p, traces.by_ref().take(p.instances.len()).collect()))
+        .collect();
+    let metric_options = if work.len() > 1 {
+        options.worker_metric_options()
+    } else {
+        options.metric_options()
+    };
+    rayon_lite::try_par_map(options.threads, &work, |_, (p, loop_traces)| {
+        let analyzed = loop_traces.iter().map(|trace| {
+            if trace.is_empty() {
+                return Ok(None);
+            }
+            let ddg = Ddg::try_build_with_policy(module, trace, options.candidate_policy())?;
+            let (metrics, per_inst) = analyze_ddg(module, &ddg, &metric_options);
+            Ok(Some((ddg, metrics, per_inst)))
+        });
+        let (ddg, metrics, per_inst) =
+            best_of(analyzed, |(_, m, _)| m.total_ops)?.ok_or_else(|| p.empty_trace(module))?;
+        let report = make_report(module, profile, p, metrics, per_inst, ddg.len());
+        per_loop(report, ddg)
+    })
+}
+
+/// The streaming counterpart of [`analyze_plans`]: the one capture run
+/// feeds a bounded-memory analyzer per sampled instance, so no trace or
+/// DDG is materialized.
+fn stream_plans(
+    module: &Module,
+    options: &AnalysisOptions,
+    profile: &Profile,
+) -> Result<Vec<LoopReport>, Error> {
+    let mut cells = Vec::new();
+    let vm = run_captures(module, options, &profile.plans, |vm, spec, _| {
+        let cell = Rc::new(RefCell::new(StreamingAnalyzer::new(
+            module,
+            options.candidate_policy(),
+        )));
+        let sink_cell = Rc::clone(&cell);
+        vm.add_sink(spec, Box::new(move |e| sink_cell.borrow_mut().consume(e)));
+        cells.push(cell);
+    })?;
+    drop(vm); // releases the sink closures' Rc clones
+    let mut analyzers = cells.into_iter().map(|c| {
+        Rc::try_unwrap(c)
+            .ok()
+            .expect("sink closures dropped with the VM")
+            .into_inner()
+    });
+    let metric_options = options.metric_options();
+    profile
+        .plans
+        .iter()
+        .map(|p| {
+            // Analyzers that saw no events correspond to empty traces.
+            let analyzed = analyzers.by_ref().take(p.instances.len()).map(|a| {
+                if a.events() == 0 {
+                    return Ok(None);
+                }
+                Ok(Some(a.finish(&metric_options)?))
+            });
+            let outcome =
+                best_of(analyzed, |o| o.metrics.total_ops)?.ok_or_else(|| p.empty_trace(module))?;
+            Ok(make_report(
+                module,
+                profile,
+                p,
+                outcome.metrics,
+                outcome.per_inst,
+                outcome.nodes,
+            ))
+        })
+        .collect()
+}
+
+/// Keeps the analyzed sub-trace with the most candidate operations (the
+/// paper's "representative subtrace"; ties go to the earliest instance).
+/// `None` entries are empty sub-traces; the result is `None` if every one
+/// was empty. Analyses are pulled one at a time, so at most two are alive.
+fn best_of<T>(
+    analyzed: impl Iterator<Item = Result<Option<T>, Error>>,
+    total_ops: impl Fn(&T) -> u64,
+) -> Result<Option<T>, Error> {
+    let mut best: Option<T> = None;
+    for a in analyzed {
+        let Some(a) = a? else { continue };
+        if best.as_ref().is_none_or(|b| total_ops(&a) > total_ops(b)) {
+            best = Some(a);
+        }
+    }
+    Ok(best)
+}
+
+/// Assembles a loop's report row from its analysis results.
 fn make_report(
     module: &Module,
-    func: FuncId,
-    loop_id: LoopId,
-    line: u32,
-    percent_cycles: f64,
+    profile: &Profile,
+    plan: &Plan,
     metrics: crate::metrics::LoopMetrics,
     per_inst: Vec<crate::metrics::InstMetrics>,
     ddg_nodes: usize,
 ) -> LoopReport {
     LoopReport {
         module_name: module.name().to_string(),
-        func_name: module.function(func).name().to_string(),
-        func,
-        loop_id,
-        loop_line: line,
-        percent_cycles,
+        func_name: module.function(plan.func).name().to_string(),
+        func: plan.func,
+        loop_id: plan.loop_id,
+        loop_line: plan.line,
+        percent_cycles: plan.percent,
         percent_packed: None,
-        control_irregularity: 0.0,
+        control_irregularity: crate::control::loop_irregularity(
+            module,
+            plan.func,
+            plan.loop_id,
+            &profile.inst_counts,
+            &profile.branch_taken,
+        ),
         metrics,
         per_inst,
         ddg_nodes,
@@ -840,5 +782,17 @@ mod tests {
         // the analysis must fail before spending a capture run.
         let err = analyze_loop(&module, dead, loop_id, &AnalysisOptions::default());
         assert!(matches!(err, Err(Error::EmptyTrace { .. })), "got {err:?}");
+    }
+
+    #[test]
+    fn unknown_loop_id_is_an_error_not_a_panic() {
+        let src = "double a[4]; void main() { for (int i = 0; i < 4; i++) { a[i] = 1.0; } }";
+        let module = vectorscope_frontend::compile("nl.kern", src).unwrap();
+        let main = module.lookup_function("main").unwrap();
+        let err = analyze_loop(&module, main, LoopId(99), &AnalysisOptions::default());
+        assert!(
+            matches!(err, Err(Error::TraceUnavailable { .. })),
+            "got {err:?}"
+        );
     }
 }

@@ -28,7 +28,7 @@
 //! Like every other report in this workspace, the output is byte-identical
 //! at every worker-thread count.
 
-use crate::driver::{analyze_loop, analyze_source, AnalysisOptions, Error};
+use crate::driver::{analyze_plans, profile_hot_loops, AnalysisOptions, Error};
 use crate::report::LoopReport;
 use crate::triage::{triage_with_gap, TriageThresholds, Verdict};
 use vectorscope_autovec::affine::scan_loop;
@@ -223,11 +223,19 @@ impl GapSuite {
 /// [`analyze_source`](crate::analyze_source), then statically analyzes
 /// every hot loop and cross-validates the two results.
 ///
+/// A gap run costs the same two executions as `analyze_source` (profile +
+/// capture): each hot loop's static analysis and oracle checks run in the
+/// worker that built the loop's DDG, while that graph is still alive. The
+/// oracle needs the graph, so this always takes the batch (DDG) path and
+/// [`AnalysisOptions::streaming`] cannot change its output.
+///
 /// # Errors
 ///
 /// Propagates every [`Error`] of the dynamic pipeline (compile, VM,
-/// empty-trace). Oracle *violations* are not errors: they are recorded in
-/// the returned [`GapSuite`] so batch runs can report all of them.
+/// empty-trace), and returns [`Error::TraceUnavailable`] if the static
+/// analysis cannot find a hot loop. Oracle *violations* are not errors:
+/// they are recorded in the returned [`GapSuite`] so batch runs can report
+/// all of them.
 ///
 /// # Example
 ///
@@ -250,20 +258,15 @@ impl GapSuite {
 /// # Ok::<(), vectorscope::Error>(())
 /// ```
 pub fn analyze_gap(name: &str, source: &str, options: &AnalysisOptions) -> Result<GapSuite, Error> {
-    let suite = analyze_source(name, source, options)?;
-    let module = suite.module;
+    let module = vectorscope_frontend::compile(name, source)?;
     let decisions = autovec_analyze(&module);
     let thresholds = TriageThresholds::default();
-
-    let mut loops = Vec::with_capacity(suite.loops.len());
-    for row in &suite.loops {
-        let dep = vectorscope_staticdep::analyze_loop(&module, row.func, row.loop_id)
-            .expect("hot loop exists in the loop forest");
-        // Re-capture the same loop to get its DDG alongside the report;
-        // with identical options the sampling, partitioning, and metrics
-        // are identical to the suite pass, so the DDG matches the report.
-        let analysis = analyze_loop(&module, row.func, row.loop_id, options)?;
-        let mut report = analysis.report;
+    let profile = profile_hot_loops(&module, options)?;
+    let loops = analyze_plans(&module, options, &profile, |mut report, ddg| {
+        let dep = vectorscope_staticdep::analyze_loop(&module, report.func, report.loop_id)
+            .ok_or_else(|| Error::TraceUnavailable {
+                what: format!("static analysis of hot loop {}", report.location()),
+            })?;
         let counts: Vec<(InstId, u64)> = report
             .per_inst
             .iter()
@@ -296,7 +299,7 @@ pub fn analyze_gap(name: &str, source: &str, options: &AnalysisOptions) -> Resul
                 sink_line: module.span_of(v.sink).line,
                 distance: v.distance,
                 min_trip: v.min_trip,
-                witnessed: analysis.ddg.has_flow_edge(v.source, v.sink),
+                witnessed: ddg.has_flow_edge(v.source, v.sink),
                 shadowed: multi_store.contains(&v.source),
             });
         }
@@ -341,7 +344,7 @@ pub fn analyze_gap(name: &str, source: &str, options: &AnalysisOptions) -> Resul
         let causes = dep.limits.clone();
         let verdict = triage_with_gap(&report, &causes, &thresholds);
 
-        loops.push(LoopGap {
+        Ok(LoopGap {
             report,
             dep,
             observed_trip,
@@ -351,8 +354,8 @@ pub fn analyze_gap(name: &str, source: &str, options: &AnalysisOptions) -> Resul
             gap_pct,
             causes,
             verdict,
-        });
-    }
+        })
+    })?;
     Ok(GapSuite { module, loops })
 }
 

@@ -15,8 +15,9 @@
 //! reproduced paper tables silently.
 
 use vectorscope::gap::{analyze_gap, analyze_gap_sources, GapSuite, StrideOracle};
+use vectorscope::json::{gap_suite_json, loop_report_json};
 use vectorscope::triage::Verdict;
-use vectorscope::AnalysisOptions;
+use vectorscope::{analyze_loop, AnalysisOptions};
 use vectorscope_kernels::{Kernel, Variant};
 use vectorscope_staticdep::GapCause;
 
@@ -81,6 +82,70 @@ fn oracle_holds_with_broken_reductions() {
             k.file_name(),
             violations.join("\n")
         );
+    }
+}
+
+/// `analyze_gap` queries each hot loop's DDG inside the capture core. The
+/// composition it replaced — every hot loop re-analyzed on its own with
+/// `analyze_loop`, its DDG asked for each witness edge — is rebuilt here
+/// from public APIs as an oracle: the rows and witness outcomes must
+/// match, with and without broken reductions. The oracle needs the graph,
+/// so the streaming option cannot change the gap report either.
+#[test]
+fn gap_matches_per_loop_reanalysis_on_every_kernel() {
+    for break_reductions in [false, true] {
+        let options = AnalysisOptions {
+            break_reductions,
+            ..sequential()
+        };
+        for k in vectorscope_kernels::all_kernels() {
+            let suite = gap_of(&k, &options);
+            let decisions = vectorscope_autovec::analyze_module(&suite.module);
+            for l in &suite.loops {
+                let at = format!(
+                    "{} (break_reductions {break_reductions})",
+                    l.report.location()
+                );
+                let analysis =
+                    analyze_loop(&suite.module, l.report.func, l.report.loop_id, &options)
+                        .unwrap_or_else(|e| panic!("{at}: {e}"));
+                let mut expected = analysis.report;
+                let counts: Vec<_> = expected
+                    .per_inst
+                    .iter()
+                    .map(|m| (m.inst, m.instances))
+                    .collect();
+                expected.percent_packed =
+                    Some(vectorscope_autovec::percent_packed(&decisions, &counts));
+                assert_eq!(
+                    loop_report_json(&l.report),
+                    loop_report_json(&expected),
+                    "{at}: report row differs from the per-loop reanalysis"
+                );
+                for w in &l.witnesses {
+                    assert_eq!(
+                        w.witnessed,
+                        analysis.ddg.has_flow_edge(w.source, w.sink),
+                        "{at}: witness line {} -> line {}",
+                        w.source_line,
+                        w.sink_line
+                    );
+                }
+            }
+            let streamed = gap_of(
+                &k,
+                &AnalysisOptions {
+                    streaming: true,
+                    ..options.clone()
+                },
+            );
+            assert_eq!(
+                gap_suite_json(&streamed),
+                gap_suite_json(&suite),
+                "{}: streaming changed the gap report",
+                k.file_name()
+            );
+        }
     }
 }
 

@@ -2,7 +2,8 @@
 //! source → IR → VM/profile → sub-trace → DDG → partitions → metrics.
 
 use std::collections::HashSet;
-use vectorscope::{analyze_source, partition, AnalysisOptions, InstancePick};
+use vectorscope::json::loop_report_json;
+use vectorscope::{analyze_loop, analyze_source, partition, AnalysisOptions, InstancePick};
 use vectorscope_ddg::Ddg;
 use vectorscope_interp::{CaptureSpec, Vm};
 
@@ -203,6 +204,32 @@ fn instance_pick_index_vs_representative() {
     )
     .unwrap();
     assert_eq!(representative.report.metrics.total_ops, 16);
+}
+
+/// `analyze_loop` plans one loop through the same capture core as
+/// `analyze_source`, so its report is that loop's suite row byte for byte
+/// and its DDG is the graph the row counted.
+#[test]
+fn analyze_loop_equals_the_suite_row() {
+    let options = AnalysisOptions {
+        threads: 1,
+        ..AnalysisOptions::default()
+    };
+    for k in vectorscope_kernels::all_kernels() {
+        let suite = analyze_source(&k.file_name(), &k.source, &options)
+            .unwrap_or_else(|e| panic!("{}: {e}", k.file_name()));
+        for row in &suite.loops {
+            let analysis = analyze_loop(&suite.module, row.func, row.loop_id, &options)
+                .unwrap_or_else(|e| panic!("{}: {e}", row.location()));
+            assert_eq!(
+                loop_report_json(&analysis.report),
+                loop_report_json(row),
+                "{}",
+                row.location()
+            );
+            assert_eq!(analysis.ddg.len(), row.ddg_nodes, "{}", row.location());
+        }
+    }
 }
 
 #[test]
