@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! vscope analyze <file.kern> [--threshold PCT] [--break-reductions]
-//!                            [--integer-ops] [--streaming] [--verbose] [--json]
+//!                            [--integer-ops] [--verbose] [--json]
 //! vscope stats <file.kern> [--integer-ops] [--json]
 //! vscope profile <file.kern>
 //! vscope vectorize <file.kern>
@@ -33,10 +33,6 @@ fn usage() -> ExitCode {
                           [--threads N]       analysis worker threads (0 = auto;\n\
                                               also via VSCOPE_THREADS; results are\n\
                                               identical at every thread count)\n\
-                          [--streaming]       bounded-memory engine: analyze trace\n\
-                                              events as they are emitted (reports\n\
-                                              are byte-identical to the default\n\
-                                              batch engine)\n\
                           [--engine E]        VM execution engine: `decoded` (the\n\
                                               default pre-decoded bytecode engine)\n\
                                               or `tree` (the tree-walking escape\n\
@@ -143,7 +139,6 @@ fn analysis_options(rest: &[String]) -> Result<AnalysisOptions, Box<dyn std::err
     let mut options = AnalysisOptions {
         break_reductions: flag(rest, "--break-reductions"),
         include_integer_ops: flag(rest, "--integer-ops"),
-        streaming: flag(rest, "--streaming"),
         ..AnalysisOptions::default()
     };
     if let Some(t) = opt_value(rest, "--threshold") {
@@ -254,8 +249,11 @@ fn cmd_stats(rest: &[String]) -> CliResult {
     let mut vm = vm_for(&module, rest)?;
     vm.set_capture(CaptureSpec::Program, path);
     vm.run_main()?;
-    let trace = vm.take_trace().expect("capture armed");
-    let ddg = vectorscope_ddg::Ddg::build(&module, &trace);
+    let trace = vm
+        .take_trace()
+        .ok_or("stats: the program capture produced no trace")?;
+    let ddg =
+        vectorscope_ddg::Ddg::try_build_with_policy(&module, &trace, options.candidate_policy())?;
     let trace_bytes = trace.approx_bytes();
     let ddg_bytes = ddg.memory_bytes();
     let streaming_peak = s.peak_resident_bytes();
@@ -337,10 +335,16 @@ fn cmd_profile(rest: &[String]) -> CliResult {
         let mut cap_vm = vm_for(&module, rest)?;
         cap_vm.set_capture(CaptureSpec::Program, path);
         cap_vm.run_main()?;
-        let trace = cap_vm.take_trace().expect("capture armed");
+        let trace = cap_vm
+            .take_trace()
+            .ok_or("profile: the program capture produced no trace")?;
         let trace_time = t2.elapsed();
         let t3 = std::time::Instant::now();
-        let ddg = vectorscope_ddg::Ddg::build(&module, &trace);
+        let ddg = vectorscope_ddg::Ddg::try_build_with_policy(
+            &module,
+            &trace,
+            analysis_options(rest)?.candidate_policy(),
+        )?;
         let ddg_time = t3.elapsed();
         let t4 = std::time::Instant::now();
         let _ = vectorscope::metrics::analyze_ddg(

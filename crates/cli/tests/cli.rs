@@ -216,3 +216,40 @@ fn ddg_dot_export() {
     assert!(dot.starts_with("digraph ddg {"));
     assert!(dot.contains("shape=box"));
 }
+
+/// `vscope stats --integer-ops` compares the streaming run against the DDG
+/// built under the same candidate policy, not the default FP-only one.
+#[test]
+fn stats_batch_ddg_bytes_follow_the_candidate_policy() {
+    use vectorscope_ddg::{CandidatePolicy, Ddg};
+    let src = r#"
+const int N = 64;
+int a[N]; int b[N];
+void main() {
+    for (int i = 0; i < N; i++) { b[i] = i * 3; }
+    for (int i = 0; i < N; i++) { a[i] = b[i] + 7; }
+}
+"#;
+    let path = write_temp("stats_ints.kern", src);
+    let (out, err, ok) = vscope(&["stats", path.to_str().unwrap(), "--integer-ops", "--json"]);
+    assert!(ok, "stderr: {err}");
+    let reported: usize = out
+        .split("\"batch_ddg_bytes\":")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no batch_ddg_bytes in {out}"));
+
+    let module = vectorscope_frontend::compile("stats_ints.kern", src).unwrap();
+    let mut vm = vectorscope_interp::Vm::new(&module);
+    vm.set_capture(vectorscope_interp::CaptureSpec::Program, "all");
+    vm.run_main().unwrap();
+    let trace = vm.take_trace().unwrap();
+    let bytes = |policy| {
+        Ddg::try_build_with_policy(&module, &trace, policy)
+            .unwrap()
+            .memory_bytes()
+    };
+    assert_eq!(reported, bytes(CandidatePolicy::IntAndFloatArith));
+    assert_ne!(reported, bytes(CandidatePolicy::FloatArith));
+}

@@ -1,6 +1,6 @@
 //! End-to-end driver: source → hot loops → sub-traces → reports.
 
-use crate::metrics::{analyze_ddg, MetricOptions};
+use crate::metrics::{analyze_ddg, InstMetrics, LoopMetrics, MetricOptions};
 use crate::report::LoopReport;
 use crate::stream::{StreamOutcome, StreamingAnalyzer};
 use std::cell::RefCell;
@@ -150,13 +150,6 @@ pub struct AnalysisOptions {
     /// else the machine's available parallelism, clamped to ≥ 1. Reports
     /// are bit-identical at every thread count.
     pub threads: usize,
-    /// Use the streaming bounded-memory engine ([`crate::stream`]) instead
-    /// of materializing traces and DDGs (default off). Reports are
-    /// byte-identical to the batch engine's; peak analysis memory scales
-    /// with live state + candidate instances instead of trace length.
-    /// Combined with `break_reductions` the driver silently falls back to
-    /// the batch engine — reduction-chain discovery needs the whole graph.
-    pub streaming: bool,
     /// Which VM execution engine runs the profiling and capture passes
     /// (default [`Engine::Decoded`], the pre-decoded bytecode engine;
     /// [`Engine::Tree`] is the tree-walking escape hatch). Both produce
@@ -173,7 +166,6 @@ impl Default for AnalysisOptions {
             include_integer_ops: false,
             fuel: 2_000_000_000,
             threads: 0,
-            streaming: false,
             engine: Engine::default(),
         }
     }
@@ -205,7 +197,10 @@ impl AnalysisOptions {
         }
     }
 
-    fn candidate_policy(&self) -> CandidatePolicy {
+    /// Which instructions count as candidates under these options:
+    /// [`CandidatePolicy::IntAndFloatArith`] with `include_integer_ops`,
+    /// else [`CandidatePolicy::FloatArith`].
+    pub fn candidate_policy(&self) -> CandidatePolicy {
         if self.include_integer_ops {
             CandidatePolicy::IntAndFloatArith
         } else {
@@ -238,9 +233,9 @@ pub struct LoopAnalysis {
 #[derive(Debug, Clone)]
 pub struct ProgramAnalysis {
     /// Aggregated table metrics over the whole run.
-    pub metrics: crate::metrics::LoopMetrics,
+    pub metrics: LoopMetrics,
     /// Per-instruction breakdown.
-    pub per_inst: Vec<crate::metrics::InstMetrics>,
+    pub per_inst: Vec<InstMetrics>,
     /// The whole-run DDG.
     pub ddg: Ddg,
 }
@@ -316,6 +311,10 @@ pub fn stream_program(module: &Module, options: &AnalysisOptions) -> Result<Stre
 /// on a single VM, so the whole analysis costs two executions total
 /// (profile + capture) instead of one per sampled instance.
 ///
+/// Each captured sub-trace is replayed through a [`StreamingAnalyzer`];
+/// no DDG is built unless `break_reductions` needs its reduction chains.
+/// The reports equal Algorithm 1 over each sub-trace's DDG byte for byte.
+///
 /// # Errors
 ///
 /// Returns [`Error::Compile`] for invalid source and [`Error::Vm`] if any
@@ -327,13 +326,7 @@ pub fn analyze_source(
 ) -> Result<SuiteReport, Error> {
     let module = vectorscope_frontend::compile(name, source)?;
     let profile = profile_hot_loops(&module, options)?;
-    // With `break_reductions` the analysis needs the whole dependence
-    // graph, so the streaming engine silently defers to the batch one.
-    let loops = if options.streaming && !options.break_reductions {
-        stream_plans(&module, options, &profile)?
-    } else {
-        analyze_plans(&module, options, &profile, |report, _ddg| Ok(report))?
-    };
+    let loops = analyze_plans(&module, options, &profile, |report, ()| Ok(report))?;
     Ok(SuiteReport { module, loops })
 }
 
@@ -500,14 +493,13 @@ fn sampled_instances(pick: InstancePick, entries: u64) -> Vec<u64> {
 }
 
 /// Executes `main` once with every sampled (loop, instance) of `plans`
-/// armed through `arm` — as a buffered capture or a streaming sink — in
-/// plan order, and returns the VM holding the armed state.
-fn run_captures<'m>(
-    module: &'m Module,
+/// armed as a buffered capture and returns the captured sub-traces in
+/// plan order.
+fn run_captures(
+    module: &Module,
     options: &AnalysisOptions,
     plans: &[Plan],
-    mut arm: impl FnMut(&mut Vm<'m>, CaptureSpec, &str),
-) -> Result<Vm<'m>, Error> {
+) -> Result<Vec<Trace>, Error> {
     let mut vm = Vm::with_options(module, options.vm_options());
     for p in plans {
         let label = format!("{}:{}", module.function(p.func).name(), p.line);
@@ -517,40 +509,91 @@ fn run_captures<'m>(
                 loop_id: p.loop_id,
                 instance,
             };
-            arm(&mut vm, spec, &label);
+            vm.add_capture(spec, &label);
         }
     }
     if !plans.is_empty() {
         vm.run_main()?;
     }
-    Ok(vm)
+    Ok(vm.take_traces())
+}
+
+/// One analyzed sub-trace: its metrics, per-instruction rows, dynamic
+/// node count and whatever else the caller keeps of it.
+type Analyzed<G> = (LoopMetrics, Vec<InstMetrics>, usize, G);
+
+/// What a caller of [`analyze_plans`] keeps of each loop's representative
+/// sub-trace besides its report, and therefore how every sub-trace is
+/// analyzed: [`Ddg`] builds the graph and runs Algorithm 1 over it; `()`
+/// replays the buffered events through [`StreamingAnalyzer`] and never
+/// builds a graph — unless `break_reductions` asks for the whole-graph
+/// reduction chains. Both give byte-identical metrics.
+pub(crate) trait Kept: Send + Sized {
+    /// Analyzes one non-empty sub-trace.
+    fn analyze(
+        module: &Module,
+        trace: &Trace,
+        policy: CandidatePolicy,
+        options: &MetricOptions,
+    ) -> Result<Analyzed<Self>, Error>;
+}
+
+impl Kept for Ddg {
+    fn analyze(
+        module: &Module,
+        trace: &Trace,
+        policy: CandidatePolicy,
+        options: &MetricOptions,
+    ) -> Result<Analyzed<Ddg>, Error> {
+        let ddg = Ddg::try_build_with_policy(module, trace, policy)?;
+        let (metrics, per_inst) = analyze_ddg(module, &ddg, options);
+        Ok((metrics, per_inst, ddg.len(), ddg))
+    }
+}
+
+impl Kept for () {
+    fn analyze(
+        module: &Module,
+        trace: &Trace,
+        policy: CandidatePolicy,
+        options: &MetricOptions,
+    ) -> Result<Analyzed<()>, Error> {
+        if options.break_reductions {
+            let (metrics, per_inst, nodes, _) =
+                <Ddg as Kept>::analyze(module, trace, policy, options)?;
+            return Ok((metrics, per_inst, nodes, ()));
+        }
+        let mut analyzer = StreamingAnalyzer::new(module, policy);
+        for event in trace {
+            analyzer.consume(event);
+        }
+        let outcome = analyzer.finish(options)?;
+        Ok((outcome.metrics, outcome.per_inst, outcome.nodes, ()))
+    }
 }
 
 /// The capture-and-analyze core under [`analyze_source`], [`analyze_loop`]
 /// and [`crate::gap::analyze_gap`].
 ///
 /// One run captures every plan's sampled sub-traces. The per-loop
-/// analyses — DDG construction, Algorithm 1 and the stride stage — then
-/// fan out across the work pool. Each worker keeps its loop's
-/// representative sub-trace and hands the report and DDG to `per_loop`,
-/// so the graph is queried, and dropped, in the worker that built it.
-/// Results come back in plan order and a failure surfaces as the
-/// lowest-indexed error, so the outcome is identical at every thread
-/// count. The stride stage inside each worker stays single-threaded
+/// analyses — dependence replay, Algorithm 1 and the stride stage, each
+/// sub-trace analyzed as [`Kept::analyze`] says for `G` — then fan out
+/// across the work pool. Each worker keeps its loop's representative
+/// sub-trace and hands the report and the kept `G` to `per_loop`, so a
+/// graph is queried, and dropped, in the worker that built it. Results
+/// come back in plan order and a failure surfaces as the lowest-indexed
+/// error, so the outcome is identical at every thread count. The stride
+/// stage inside each worker stays single-threaded
 /// ([`AnalysisOptions::worker_metric_options`]) unless there is only one
 /// plan.
-pub(crate) fn analyze_plans<T: Send>(
+pub(crate) fn analyze_plans<G: Kept, T: Send>(
     module: &Module,
     options: &AnalysisOptions,
     profile: &Profile,
-    per_loop: impl Fn(LoopReport, Ddg) -> Result<T, Error> + Sync,
+    per_loop: impl Fn(LoopReport, G) -> Result<T, Error> + Sync,
 ) -> Result<Vec<T>, Error> {
     let plans = &profile.plans;
-    let mut traces = run_captures(module, options, plans, |vm, spec, label| {
-        vm.add_capture(spec, label)
-    })?
-    .take_traces()
-    .into_iter();
+    let mut traces = run_captures(module, options, plans)?.into_iter();
     let work: Vec<(&Plan, Vec<Trace>)> = plans
         .iter()
         .map(|p| (p, traces.by_ref().take(p.instances.len()).collect()))
@@ -560,85 +603,32 @@ pub(crate) fn analyze_plans<T: Send>(
     } else {
         options.metric_options()
     };
+    let policy = options.candidate_policy();
     rayon_lite::try_par_map(options.threads, &work, |_, (p, loop_traces)| {
         let analyzed = loop_traces.iter().map(|trace| {
             if trace.is_empty() {
                 return Ok(None);
             }
-            let ddg = Ddg::try_build_with_policy(module, trace, options.candidate_policy())?;
-            let (metrics, per_inst) = analyze_ddg(module, &ddg, &metric_options);
-            Ok(Some((ddg, metrics, per_inst)))
+            G::analyze(module, trace, policy, &metric_options).map(Some)
         });
-        let (ddg, metrics, per_inst) =
-            best_of(analyzed, |(_, m, _)| m.total_ops)?.ok_or_else(|| p.empty_trace(module))?;
-        let report = make_report(module, profile, p, metrics, per_inst, ddg.len());
-        per_loop(report, ddg)
+        let (metrics, per_inst, nodes, kept) =
+            best_of(analyzed)?.ok_or_else(|| p.empty_trace(module))?;
+        let report = make_report(module, profile, p, metrics, per_inst, nodes);
+        per_loop(report, kept)
     })
-}
-
-/// The streaming counterpart of [`analyze_plans`]: the one capture run
-/// feeds a bounded-memory analyzer per sampled instance, so no trace or
-/// DDG is materialized.
-fn stream_plans(
-    module: &Module,
-    options: &AnalysisOptions,
-    profile: &Profile,
-) -> Result<Vec<LoopReport>, Error> {
-    let mut cells = Vec::new();
-    let vm = run_captures(module, options, &profile.plans, |vm, spec, _| {
-        let cell = Rc::new(RefCell::new(StreamingAnalyzer::new(
-            module,
-            options.candidate_policy(),
-        )));
-        let sink_cell = Rc::clone(&cell);
-        vm.add_sink(spec, Box::new(move |e| sink_cell.borrow_mut().consume(e)));
-        cells.push(cell);
-    })?;
-    drop(vm); // releases the sink closures' Rc clones
-    let mut analyzers = cells.into_iter().map(|c| {
-        Rc::try_unwrap(c)
-            .ok()
-            .expect("sink closures dropped with the VM")
-            .into_inner()
-    });
-    let metric_options = options.metric_options();
-    profile
-        .plans
-        .iter()
-        .map(|p| {
-            // Analyzers that saw no events correspond to empty traces.
-            let analyzed = analyzers.by_ref().take(p.instances.len()).map(|a| {
-                if a.events() == 0 {
-                    return Ok(None);
-                }
-                Ok(Some(a.finish(&metric_options)?))
-            });
-            let outcome =
-                best_of(analyzed, |o| o.metrics.total_ops)?.ok_or_else(|| p.empty_trace(module))?;
-            Ok(make_report(
-                module,
-                profile,
-                p,
-                outcome.metrics,
-                outcome.per_inst,
-                outcome.nodes,
-            ))
-        })
-        .collect()
 }
 
 /// Keeps the analyzed sub-trace with the most candidate operations (the
 /// paper's "representative subtrace"; ties go to the earliest instance).
 /// `None` entries are empty sub-traces; the result is `None` if every one
 /// was empty. Analyses are pulled one at a time, so at most two are alive.
-fn best_of<T>(
-    analyzed: impl Iterator<Item = Result<Option<T>, Error>>,
-    total_ops: impl Fn(&T) -> u64,
-) -> Result<Option<T>, Error> {
-    let mut best: Option<T> = None;
+fn best_of<G>(
+    analyzed: impl Iterator<Item = Result<Option<Analyzed<G>>, Error>>,
+) -> Result<Option<Analyzed<G>>, Error> {
+    let mut best: Option<Analyzed<G>> = None;
     for a in analyzed {
         let Some(a) = a? else { continue };
-        if best.as_ref().is_none_or(|b| total_ops(&a) > total_ops(b)) {
+        if best.as_ref().is_none_or(|b| a.0.total_ops > b.0.total_ops) {
             best = Some(a);
         }
     }
@@ -650,8 +640,8 @@ fn make_report(
     module: &Module,
     profile: &Profile,
     plan: &Plan,
-    metrics: crate::metrics::LoopMetrics,
-    per_inst: Vec<crate::metrics::InstMetrics>,
+    metrics: LoopMetrics,
+    per_inst: Vec<InstMetrics>,
     ddg_nodes: usize,
 ) -> LoopReport {
     LoopReport {

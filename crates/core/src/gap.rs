@@ -33,6 +33,7 @@ use crate::report::LoopReport;
 use crate::triage::{triage_with_gap, TriageThresholds, Verdict};
 use vectorscope_autovec::affine::scan_loop;
 use vectorscope_autovec::{analyze_module as autovec_analyze, percent_packed};
+use vectorscope_ddg::Ddg;
 use vectorscope_ir::loops::LoopForest;
 use vectorscope_ir::{InstId, Module};
 use vectorscope_staticdep::{DepKind, GapCause, LoopDep, StrideClass, Verdict as PairVerdict};
@@ -226,8 +227,8 @@ impl GapSuite {
 /// A gap run costs the same two executions as `analyze_source` (profile +
 /// capture): each hot loop's static analysis and oracle checks run in the
 /// worker that built the loop's DDG, while that graph is still alive. The
-/// oracle needs the graph, so this always takes the batch (DDG) path and
-/// [`AnalysisOptions::streaming`] cannot change its output.
+/// witness checks query the graph, so this is the one report path that
+/// builds a DDG for every sampled sub-trace.
 ///
 /// # Errors
 ///
@@ -262,7 +263,7 @@ pub fn analyze_gap(name: &str, source: &str, options: &AnalysisOptions) -> Resul
     let decisions = autovec_analyze(&module);
     let thresholds = TriageThresholds::default();
     let profile = profile_hot_loops(&module, options)?;
-    let loops = analyze_plans(&module, options, &profile, |mut report, ddg| {
+    let loops = analyze_plans(&module, options, &profile, |mut report, ddg: Ddg| {
         let dep = vectorscope_staticdep::analyze_loop(&module, report.func, report.loop_id)
             .ok_or_else(|| Error::TraceUnavailable {
                 what: format!("static analysis of hot loop {}", report.location()),

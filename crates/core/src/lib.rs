@@ -16,7 +16,10 @@
 //! 2. **Profile** a run to find hot loops (`vectorscope-interp`), like the
 //!    paper's HPCToolkit step.
 //! 3. **Capture** a sub-trace of one dynamic instance of each hot loop.
-//! 4. **Build the DDG** — flow dependences only (`vectorscope-ddg`).
+//! 4. **Replay dependences** — flow dependences only (`vectorscope-ddg`'s
+//!    replay core). [`analyze_source`] feeds stages 5–7 from the replay in
+//!    one pass ([`stream`]) and builds the DDG only when a caller needs the
+//!    graph: [`analyze_loop`], [`analyze_gap`] and `break_reductions`.
 //! 5. **[`partition()`](partition())** — Algorithm 1: per-statement timestamps placing
 //!    every instance at its earliest slot; equal timestamps ⇒ independent
 //!    (maximal per-statement parallelism, Properties 3.1/3.2).

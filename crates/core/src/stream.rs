@@ -21,14 +21,16 @@
 //!   of raw tuples reproduces the batch group sizes exactly — node ids
 //!   never leave the engine, so they are not needed.
 //!
-//! [`StreamingAnalyzer::consume`] is the push-style endpoint the VM's
-//! [`vectorscope_interp::Vm::add_sink`] API feeds one event at a time. It
-//! runs the batch DDG builder's own dependence replay (the
+//! [`StreamingAnalyzer::consume`] takes one event at a time. It runs the
+//! batch DDG builder's own dependence replay (the
 //! [`vectorscope_ddg::replay`] core) through a sink whose producers carry
 //! timestamp lanes instead of node ids. [`StreamingAnalyzer::finish`] then
 //! runs the shared stride core and metrics assembler, producing reports
-//! **byte-identical** to [`crate::analyze_ddg`] over the batch DDG of the
-//! same event stream.
+//! **byte-identical** to [`crate::metrics::analyze_ddg`] over the batch DDG
+//! of the same event stream. [`crate::analyze_source`] runs it over each
+//! buffered hot-loop sub-trace, and [`crate::stream_program`] feeds it a
+//! whole run live through the VM's [`vectorscope_interp::Vm::add_sink`]
+//! API, never materializing the trace.
 //!
 //! Peak resident state is `O(live registers + live memory cells +
 //! candidate instances)`, where live registers are those of the
@@ -38,8 +40,8 @@
 //!
 //! One deliberate non-feature: the reduction-breaking extension needs
 //! whole-graph reduction chains *before* timestamping, which contradicts a
-//! one-pass engine; the driver falls back to the batch engine when
-//! `break_reductions` is requested.
+//! one-pass engine; with `break_reductions`, `analyze_source` builds the
+//! DDG instead.
 
 use crate::metrics::{assemble, InstMetrics, LaneOutcome, LoopMetrics, MetricOptions};
 use crate::stride::{analyze_sorted_tuples, SortedTuples, StrideReport};
@@ -121,7 +123,7 @@ impl Payload for RegLanes {
 /// Online Algorithm 1 + stride analysis over a pushed event stream.
 ///
 /// Create one per capture region, feed every [`TraceEvent`] to
-/// [`consume`](Self::consume) (typically through
+/// [`consume`](Self::consume) (from a buffered trace, or live through
 /// [`vectorscope_interp::Vm::add_sink`]), then call
 /// [`finish`](Self::finish) for the report. See the module docs for the
 /// equivalence argument; `tests/streaming.rs` holds the differential
@@ -140,12 +142,6 @@ impl<'m> StreamingAnalyzer<'m> {
         }
     }
 
-    /// Events consumed so far (0 means the capture never fired — the
-    /// streaming equivalent of an empty trace).
-    pub fn events(&self) -> u64 {
-        self.replay.stats().events
-    }
-
     /// Consumes one trace event, updating live state online.
     pub fn consume(&mut self, event: &TraceEvent) {
         self.replay.consume(event);
@@ -156,7 +152,8 @@ impl<'m> StreamingAnalyzer<'m> {
     ///
     /// `options.threads` fans the per-(candidate, partition) stride shards
     /// exactly like the batch engine; `options.break_reductions` is not
-    /// supported here (the driver falls back to batch) and is ignored.
+    /// supported here (`analyze_source` builds the DDG for it) and is
+    /// ignored.
     ///
     /// # Errors
     ///

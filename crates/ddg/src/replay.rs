@@ -386,11 +386,6 @@ impl<S: Sink> Replay<S> {
         }
     }
 
-    /// Counters so far.
-    pub fn stats(&self) -> &ReplayStats {
-        &self.stats
-    }
-
     /// Consumes the next event. Events whose instruction ids are unknown
     /// to the module create no nodes; the first malformed event (see
     /// [`BuildError`]) stops the replay and is returned by

@@ -151,28 +151,6 @@ impl std::error::Error for DecodeError {}
 
 const MAGIC: &[u8; 4] = b"VSTR";
 const VERSION: u8 = 1;
-const VERSION_COMPRESSED: u8 = 2;
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Zig-zag encoding maps small signed deltas to small unsigned varints.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
 
 impl Trace {
     /// Creates an empty trace labeled `name`.
@@ -252,58 +230,7 @@ impl Trace {
         out
     }
 
-    /// Serializes to the *compressed* trace format (format version 2).
-    ///
-    /// Traces are extremely regular: the same static instructions repeat in
-    /// loop order, activations change rarely, and successive addresses of
-    /// one instruction differ by a fixed stride. The compressed format
-    /// exploits this with per-field delta + zig-zag varint coding (deltas
-    /// are taken against the *previous occurrence of the same static
-    /// instruction*, which turns strided address streams into runs of tiny
-    /// constants). Loop-heavy traces typically shrink 3–6× versus
-    /// [`Trace::to_bytes`]; [`Trace::from_bytes`] reads both formats.
-    pub fn to_bytes_compressed(&self) -> Vec<u8> {
-        use std::collections::HashMap;
-        let mut out = Vec::with_capacity(16 + self.name.len() + self.events.len() * 3);
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION_COMPRESSED);
-        out.extend_from_slice(&(self.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.name.as_bytes());
-        write_varint(&mut out, self.events.len() as u64);
-
-        let mut prev_inst: i64 = 0;
-        let mut prev_act: i64 = 0;
-        // Last address per static instruction.
-        let mut prev_addr: HashMap<u32, i64> = HashMap::new();
-        for e in &self.events {
-            let tag = match e.kind {
-                EventKind::Plain { addr: None } => 0u8,
-                EventKind::Plain { addr: Some(_) } => 1,
-                EventKind::Call { .. } => 2,
-                EventKind::Ret => 3,
-            };
-            out.push(tag);
-            write_varint(&mut out, zigzag(e.inst.0 as i64 - prev_inst));
-            prev_inst = e.inst.0 as i64;
-            write_varint(&mut out, zigzag(e.activation as i64 - prev_act));
-            prev_act = e.activation as i64;
-            match e.kind {
-                EventKind::Plain { addr: Some(a) } => {
-                    let slot = prev_addr.entry(e.inst.0).or_insert(0);
-                    write_varint(&mut out, zigzag(a as i64 - *slot));
-                    *slot = a as i64;
-                }
-                EventKind::Call { callee_activation } => {
-                    write_varint(&mut out, zigzag(callee_activation as i64 - prev_act));
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// Decodes a trace previously produced by [`Trace::to_bytes`] or
-    /// [`Trace::to_bytes_compressed`].
+    /// Decodes a trace previously produced by [`Trace::to_bytes`].
     ///
     /// # Errors
     ///
@@ -315,9 +242,6 @@ impl Trace {
             return Err(r.err("bad magic"));
         }
         let version = r.u8()?;
-        if version == VERSION_COMPRESSED {
-            return Self::decode_compressed(r);
-        }
         if version != VERSION {
             return Err(r.err(format!("unsupported version {version}")));
         }
@@ -341,64 +265,6 @@ impl Trace {
                 2 => EventKind::Call {
                     callee_activation: r.u32()?,
                 },
-                3 => EventKind::Ret,
-                t => return Err(r.err(format!("unknown event tag {t}"))),
-            };
-            events.push(TraceEvent {
-                inst,
-                activation,
-                kind,
-            });
-        }
-        Ok(Trace { name, events })
-    }
-
-    fn decode_compressed(mut r: Reader<'_>) -> Result<Trace, DecodeError> {
-        use std::collections::HashMap;
-        let name_len = r.u32()? as usize;
-        let name_bytes = r.take(name_len)?.to_vec();
-        let name = String::from_utf8(name_bytes).map_err(|_| r.err("name is not UTF-8"))?;
-        let count = r.varint()? as usize;
-        if count > r.bytes.len() {
-            return Err(r.err(format!("event count {count} exceeds input size")));
-        }
-        let mut events = Vec::with_capacity(count);
-        let mut prev_inst: i64 = 0;
-        let mut prev_act: i64 = 0;
-        let mut prev_addr: HashMap<u32, i64> = HashMap::new();
-        for _ in 0..count {
-            let tag = r.u8()?;
-            let inst_raw = prev_inst + unzigzag(r.varint()?);
-            if inst_raw < 0 || inst_raw > u32::MAX as i64 {
-                return Err(r.err("instruction id out of range"));
-            }
-            prev_inst = inst_raw;
-            let inst = InstId(inst_raw as u32);
-            let act_raw = prev_act + unzigzag(r.varint()?);
-            if act_raw < 0 || act_raw > u32::MAX as i64 {
-                return Err(r.err("activation out of range"));
-            }
-            prev_act = act_raw;
-            let activation = act_raw as u32;
-            let kind = match tag {
-                0 => EventKind::Plain { addr: None },
-                1 => {
-                    let slot = prev_addr.entry(inst.0).or_insert(0);
-                    let a = slot.wrapping_add(unzigzag(r.varint()?));
-                    *slot = a;
-                    EventKind::Plain {
-                        addr: Some(a as u64),
-                    }
-                }
-                2 => {
-                    let callee = prev_act + unzigzag(r.varint()?);
-                    if callee < 0 || callee > u32::MAX as i64 {
-                        return Err(r.err("callee activation out of range"));
-                    }
-                    EventKind::Call {
-                        callee_activation: callee as u32,
-                    }
-                }
                 3 => EventKind::Ret,
                 t => return Err(r.err(format!("unknown event tag {t}"))),
             };
@@ -463,22 +329,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
-    }
-
-    fn varint(&mut self) -> Result<u64, DecodeError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err(self.err("varint too long"));
-            }
-            v |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
     }
 }
 
@@ -548,40 +398,12 @@ mod tests {
             })
     }
 
-    #[test]
-    fn compressed_roundtrip_and_shrinks_loopy_traces() {
-        // A loop-shaped trace: few static instructions, strided addresses.
-        let mut t = Trace::new("loopy");
-        for i in 0..1000u64 {
-            t.push(TraceEvent::plain(InstId(10), 0, Some(0x1000 + i * 8)));
-            t.push(TraceEvent::plain(InstId(11), 0, None));
-            t.push(TraceEvent::plain(InstId(12), 0, Some(0x9000 + i * 8)));
-        }
-        let plain = t.to_bytes();
-        let packed = t.to_bytes_compressed();
-        assert_eq!(Trace::from_bytes(&packed).unwrap(), t);
-        assert!(
-            packed.len() * 3 < plain.len(),
-            "compressed {} vs plain {}",
-            packed.len(),
-            plain.len()
-        );
-    }
-
     proptest! {
         #[test]
         fn roundtrip_any_trace(name in ".{0,20}", events in prop::collection::vec(arb_event(), 0..200)) {
             let mut t = Trace::new(&name);
             t.extend(events);
             let bytes = t.to_bytes();
-            prop_assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
-        }
-
-        #[test]
-        fn compressed_roundtrip_any_trace(name in ".{0,20}", events in prop::collection::vec(arb_event(), 0..200)) {
-            let mut t = Trace::new(&name);
-            t.extend(events);
-            let bytes = t.to_bytes_compressed();
             prop_assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
         }
 

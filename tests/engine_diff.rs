@@ -3,8 +3,8 @@
 //! The pre-decoded bytecode engine ([`Engine::Decoded`], the default) and
 //! the tree-walking engine ([`Engine::Tree`]) are contractually
 //! **observationally identical**: same traces byte for byte, same profiles,
-//! same fuel accounting, and therefore the same analysis reports — in batch
-//! and streaming mode, at every thread count. These tests enforce that over
+//! same fuel accounting, and therefore the same analysis reports at every
+//! thread count. These tests enforce that over
 //! every bundled kernel, the checked-in golden snapshots, and
 //! proptest-generated random programs.
 
@@ -14,19 +14,12 @@ use vectorscope::json::{gap_suite_json, suite_json};
 use vectorscope::{analyze_gap, analyze_source, AnalysisOptions, Engine};
 use vectorscope_interp::{CaptureSpec, Vm, VmError, VmOptions};
 
-/// Analyzes with the given engine/threads/streaming combination and
-/// renders the canonical JSON report.
-fn report_json(
-    name: &str,
-    source: &str,
-    engine: Engine,
-    threads: usize,
-    streaming: bool,
-) -> String {
+/// Analyzes with the given engine and threads and renders the canonical
+/// JSON report.
+fn report_json(name: &str, source: &str, engine: Engine, threads: usize) -> String {
     let options = AnalysisOptions {
         engine,
         threads,
-        streaming,
         ..AnalysisOptions::default()
     };
     let suite = analyze_source(name, source, &options)
@@ -38,17 +31,13 @@ fn report_json(
 fn engines_agree_on_every_bundled_kernel() {
     for kernel in vectorscope_kernels::all_kernels() {
         let name = kernel.file_name();
-        let baseline = report_json(&name, &kernel.source, Engine::Tree, 1, false);
+        let baseline = report_json(&name, &kernel.source, Engine::Tree, 1);
         for threads in [1usize, 2, 7] {
-            for streaming in [false, true] {
-                let decoded =
-                    report_json(&name, &kernel.source, Engine::Decoded, threads, streaming);
-                assert_eq!(
-                    baseline, decoded,
-                    "{name}: decoded engine diverged from tree \
-                     (threads={threads}, streaming={streaming})"
-                );
-            }
+            let decoded = report_json(&name, &kernel.source, Engine::Decoded, threads);
+            assert_eq!(
+                baseline, decoded,
+                "{name}: decoded engine diverged from tree (threads={threads})"
+            );
         }
     }
 }
@@ -256,13 +245,12 @@ void main() {{
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random programs must report identically under both engines, batch
-    /// and streaming, at 1 and 7 threads.
+    /// Random programs must report identically under both engines, at 1
+    /// and 7 threads.
     #[test]
     fn random_programs_agree_between_engines(
         n in 4u64..48,
         stmts in prop::collection::vec(0u8..7, 1..6),
-        streaming in any::<bool>(),
     ) {
         let source = random_program(n, &stmts);
         let mut reports = Vec::new();
@@ -271,7 +259,6 @@ proptest! {
                 let options = AnalysisOptions {
                     engine,
                     threads,
-                    streaming,
                     // Random bodies spread cycles thinly; analyze every loop.
                     hot_threshold_pct: 1.0,
                     ..AnalysisOptions::default()
@@ -284,7 +271,7 @@ proptest! {
         for r in &reports[1..] {
             prop_assert_eq!(
                 &reports[0], r,
-                "engines diverged (streaming={}) for:\n{}", streaming, source
+                "engines diverged for:\n{}", source
             );
         }
     }

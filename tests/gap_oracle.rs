@@ -15,7 +15,7 @@
 //! reproduced paper tables silently.
 
 use vectorscope::gap::{analyze_gap, analyze_gap_sources, GapSuite, StrideOracle};
-use vectorscope::json::{gap_suite_json, loop_report_json};
+use vectorscope::json::loop_report_json;
 use vectorscope::triage::Verdict;
 use vectorscope::{analyze_loop, AnalysisOptions};
 use vectorscope_kernels::{Kernel, Variant};
@@ -89,8 +89,7 @@ fn oracle_holds_with_broken_reductions() {
 /// composition it replaced — every hot loop re-analyzed on its own with
 /// `analyze_loop`, its DDG asked for each witness edge — is rebuilt here
 /// from public APIs as an oracle: the rows and witness outcomes must
-/// match, with and without broken reductions. The oracle needs the graph,
-/// so the streaming option cannot change the gap report either.
+/// match, with and without broken reductions.
 #[test]
 fn gap_matches_per_loop_reanalysis_on_every_kernel() {
     for break_reductions in [false, true] {
@@ -132,19 +131,6 @@ fn gap_matches_per_loop_reanalysis_on_every_kernel() {
                     );
                 }
             }
-            let streamed = gap_of(
-                &k,
-                &AnalysisOptions {
-                    streaming: true,
-                    ..options.clone()
-                },
-            );
-            assert_eq!(
-                gap_suite_json(&streamed),
-                gap_suite_json(&suite),
-                "{}: streaming changed the gap report",
-                k.file_name()
-            );
         }
     }
 }

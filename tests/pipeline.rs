@@ -208,26 +208,40 @@ fn instance_pick_index_vs_representative() {
 
 /// `analyze_loop` plans one loop through the same capture core as
 /// `analyze_source`, so its report is that loop's suite row byte for byte
-/// and its DDG is the graph the row counted.
+/// and its DDG is the graph the row counted. The two take different
+/// paths — `analyze_loop` builds each sub-trace's DDG, `analyze_source`
+/// replays it without one unless reductions are broken — so this is the
+/// cross-path check, under both candidate policies, with and without
+/// broken reductions.
 #[test]
 fn analyze_loop_equals_the_suite_row() {
-    let options = AnalysisOptions {
-        threads: 1,
-        ..AnalysisOptions::default()
-    };
-    for k in vectorscope_kernels::all_kernels() {
-        let suite = analyze_source(&k.file_name(), &k.source, &options)
-            .unwrap_or_else(|e| panic!("{}: {e}", k.file_name()));
-        for row in &suite.loops {
-            let analysis = analyze_loop(&suite.module, row.func, row.loop_id, &options)
-                .unwrap_or_else(|e| panic!("{}: {e}", row.location()));
-            assert_eq!(
-                loop_report_json(&analysis.report),
-                loop_report_json(row),
-                "{}",
-                row.location()
-            );
-            assert_eq!(analysis.ddg.len(), row.ddg_nodes, "{}", row.location());
+    for break_reductions in [false, true] {
+        for include_integer_ops in [false, true] {
+            let options = AnalysisOptions {
+                threads: 1,
+                break_reductions,
+                include_integer_ops,
+                ..AnalysisOptions::default()
+            };
+            for k in vectorscope_kernels::all_kernels() {
+                let suite = analyze_source(&k.file_name(), &k.source, &options)
+                    .unwrap_or_else(|e| panic!("{}: {e}", k.file_name()));
+                for row in &suite.loops {
+                    let at = format!(
+                        "{} (break_reductions {break_reductions}, \
+                         include_integer_ops {include_integer_ops})",
+                        row.location()
+                    );
+                    let analysis = analyze_loop(&suite.module, row.func, row.loop_id, &options)
+                        .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    assert_eq!(
+                        loop_report_json(&analysis.report),
+                        loop_report_json(row),
+                        "{at}"
+                    );
+                    assert_eq!(analysis.ddg.len(), row.ddg_nodes, "{at}");
+                }
+            }
         }
     }
 }
@@ -336,11 +350,4 @@ fn moderate_scale_program_analyzes_in_bounds() {
         let p = partition(&ddg, inst, &HashSet::new());
         assert!(p.num_instances() > 0);
     }
-    // Compressed trace round-trips at scale.
-    let packed = trace.to_bytes_compressed();
-    assert_eq!(
-        vectorscope_trace::Trace::from_bytes(&packed).unwrap(),
-        trace
-    );
-    assert!(packed.len() * 2 < trace.to_bytes().len());
 }

@@ -116,6 +116,24 @@ fn corrupt_trace_bytes_are_rejected() {
     assert!(vectorscope_trace::Trace::from_bytes(&bytes[..10]).is_err());
 }
 
+/// Version byte 2 named a delta-coded format that is no longer read. Two
+/// events whose instruction-id deltas sum past `i64::MAX` once overflowed
+/// its decoder; they must now be refused by version alone.
+#[test]
+fn version_2_trace_bytes_are_rejected() {
+    let bytes: &[u8] = &[
+        b'V', b'S', b'T', b'R', 2, // magic, version
+        0, 0, 0, 0, // empty name
+        2, // event count (varint)
+        // Each event: tag, zig-zag varint instruction-id delta, activation
+        // delta. The first delta is +u32::MAX, the second +i64::MAX.
+        0, 0xfe, 0xff, 0xff, 0xff, 0x1f, 0, //
+        0, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0,
+    ];
+    let err = vectorscope_trace::Trace::from_bytes(bytes).unwrap_err();
+    assert_eq!(err.message, "unsupported version 2");
+}
+
 #[test]
 fn foreign_trace_against_wrong_module_is_harmless() {
     // Build a trace from one module and (incorrectly) analyze it against

@@ -1,96 +1,126 @@
-//! Differential tests for the streaming bounded-memory analysis engine.
+//! Differential tests for the streaming analysis engine.
 //!
-//! The streaming engine ([`vectorscope::stream`]) consumes trace events as
-//! the VM emits them and never materializes a trace or DDG. Its contract is
-//! that reports are **byte-identical** to the batch engine's: same JSON,
-//! same goldens, same behavior at every thread count. These tests enforce
-//! that over every bundled kernel, over the checked-in golden snapshots,
-//! and over proptest-generated random programs — plus regression tests
-//! pinning the overlapping-store dependence fix, bounded register state and
-//! malformed-trace errors in *both* engines.
+//! [`StreamingAnalyzer`] replays trace events through the dependence
+//! replay core without building a DDG. `analyze_source` runs it over every
+//! sampled hot-loop sub-trace and `stream_program` over a whole run fed
+//! live by the VM. Its contract is that reports are **byte-identical** to
+//! Algorithm 1 over the batch DDG of the same events. These tests enforce
+//! that over every bundled kernel's sampled mid-run sub-traces, over
+//! proptest-generated random programs and over whole runs — plus
+//! regression tests pinning the overlapping-store dependence fix, bounded
+//! register state and malformed-trace errors in *both* engines.
 
 use proptest::prelude::*;
-use vectorscope::json::suite_json;
-use vectorscope::metrics::MetricOptions;
+use vectorscope::metrics::{analyze_ddg, MetricOptions};
 use vectorscope::{
-    analyze_program, analyze_source, stream_program, AnalysisOptions, CandidatePolicy,
-    StreamingAnalyzer,
+    analyze_program, stream_program, AnalysisOptions, CandidatePolicy, StreamingAnalyzer,
 };
+use vectorscope_interp::{CaptureSpec, Vm};
+use vectorscope_ir::Module;
+use vectorscope_trace::Trace;
 
-/// Renders the canonical JSON report with the given engine and threads.
-fn report_json(name: &str, source: &str, streaming: bool, threads: usize) -> String {
-    let options = AnalysisOptions {
-        streaming,
-        threads,
-        ..AnalysisOptions::default()
-    };
-    let suite = analyze_source(name, source, &options)
-        .unwrap_or_else(|e| panic!("{name} failed to analyze (streaming={streaming}): {e}"));
-    suite_json(&suite.loops)
+/// The non-empty sub-traces `analyze_source` analyzes for `module`: four
+/// instances spread over the run of every loop at or above `hot_pct` of
+/// cycles, captured in one run.
+fn sampled_subtraces(module: &Module, hot_pct: f64) -> Vec<Trace> {
+    let mut vm = Vm::new(module);
+    vm.run_main().unwrap();
+    let hot = vm.profiler().hot_loops(module, vm.forests(), hot_pct);
+    let mut capture = Vm::new(module);
+    for h in hot {
+        let entries = h.profile.entries;
+        let mut instances: Vec<u64> = (0..4).map(|s| s * entries / 4).collect();
+        instances.dedup();
+        for instance in instances {
+            let spec = CaptureSpec::Loop {
+                func: h.profile.key.func,
+                loop_id: h.profile.key.loop_id,
+                instance,
+            };
+            capture.add_capture(spec, &h.profile.func_name);
+        }
+    }
+    capture.run_main().unwrap();
+    let mut traces = capture.take_traces();
+    traces.retain(|t| !t.is_empty());
+    traces
 }
 
+/// Asserts that replaying `trace` through [`StreamingAnalyzer`] gives
+/// exactly the metrics, per-instruction rows and node count of Algorithm 1
+/// over its DDG, under both candidate policies and at 1, 2 and 7 stride
+/// threads. Returns a description of the first difference.
+fn replay_matches_ddg(module: &Module, trace: &Trace) -> Result<(), String> {
+    for policy in [
+        CandidatePolicy::FloatArith,
+        CandidatePolicy::IntAndFloatArith,
+    ] {
+        let ddg = vectorscope_ddg::Ddg::try_build_with_policy(module, trace, policy).unwrap();
+        for threads in [1usize, 2, 7] {
+            let options = MetricOptions {
+                break_reductions: false,
+                threads,
+            };
+            let (metrics, per_inst) = analyze_ddg(module, &ddg, &options);
+            let mut analyzer = StreamingAnalyzer::new(module, policy);
+            for event in trace {
+                analyzer.consume(event);
+            }
+            let streamed = analyzer.finish(&options).unwrap();
+            let at = format!("{} ({policy:?}, {threads} threads)", trace.name());
+            if streamed.metrics != metrics {
+                return Err(format!("{at}: metrics diverged"));
+            }
+            if streamed.per_inst != per_inst {
+                return Err(format!("{at}: per-instruction rows diverged"));
+            }
+            if streamed.nodes != ddg.len() {
+                return Err(format!("{at}: node count diverged"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every sampled hot-loop sub-trace of every bundled kernel — mid-run
+/// regions whose first events read values written before the capture
+/// began — replays to the batch engine's exact metrics.
 #[test]
 fn every_bundled_kernel_is_byte_identical_to_the_batch_engine() {
+    let mut subtraces = 0;
     for kernel in vectorscope_kernels::all_kernels() {
         let name = kernel.file_name();
-        let batch = report_json(&name, &kernel.source, false, 1);
-        let streaming = report_json(&name, &kernel.source, true, 1);
-        assert_eq!(
-            batch, streaming,
-            "{name}: streaming report diverged from the batch engine"
-        );
+        let module = vectorscope_frontend::compile(&name, &kernel.source).unwrap();
+        for trace in sampled_subtraces(&module, 10.0) {
+            if let Err(e) = replay_matches_ddg(&module, &trace) {
+                panic!("{name}: {e}");
+            }
+            subtraces += 1;
+        }
     }
+    assert!(subtraces > 100, "only {subtraces} sub-traces sampled");
 }
 
-/// The streaming engine must reproduce every checked-in golden snapshot
-/// byte-for-byte — the same gate the batch engine passes in
-/// `tests/golden.rs`, without regenerating through the batch path.
-#[test]
-fn golden_snapshots_match_the_streaming_engine() {
-    let dir = std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"));
-    let mut kernels = vectorscope_kernels::studies::kernels();
-    kernels.push(vectorscope_kernels::paper::listing1(8));
-    kernels.push(vectorscope_kernels::paper::listing2(8));
-    kernels.push(vectorscope_kernels::paper::listing3_original(12));
-    kernels.push(vectorscope_kernels::paper::listing3_transformed(12));
-    for kernel in kernels {
-        let name = kernel.file_name();
-        let path = dir.join(format!("{name}.json"));
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read golden snapshot {}: {e}", path.display()));
-        let mut streaming = report_json(&name, &kernel.source, true, 1);
-        streaming.push('\n');
-        assert_eq!(
-            golden, streaming,
-            "{name}: streaming report diverged from the golden snapshot"
-        );
-    }
-}
-
-/// The streaming engine inherits the determinism contract: reports *and*
-/// observability counters are identical at 1, 2, and 7 threads (7 exceeds
-/// the shard count of most kernels, exercising over-subscription).
+/// The streaming engine inherits the determinism contract: whole-run
+/// reports *and* observability counters are identical at 1, 2, and 7
+/// threads (7 exceeds the shard count of most kernels, exercising
+/// over-subscription).
 #[test]
 fn streaming_reports_and_stats_are_identical_at_1_2_and_7_threads() {
     for kernel in vectorscope_kernels::studies::kernels().into_iter().take(4) {
         let name = kernel.file_name();
-        let mut reports = Vec::new();
-        let mut outcomes = Vec::new();
-        for threads in [1usize, 2, 7] {
-            let options = AnalysisOptions {
-                streaming: true,
-                threads,
-                ..AnalysisOptions::default()
-            };
-            reports.push(report_json(&name, &kernel.source, true, threads));
-            let module = vectorscope_frontend::compile(&name, &kernel.source).unwrap();
-            outcomes.push(
+        let module = vectorscope_frontend::compile(&name, &kernel.source).unwrap();
+        let outcomes: Vec<_> = [1usize, 2, 7]
+            .into_iter()
+            .map(|threads| {
+                let options = AnalysisOptions {
+                    threads,
+                    ..AnalysisOptions::default()
+                };
                 stream_program(&module, &options)
-                    .unwrap_or_else(|e| panic!("{name} failed to stream: {e}")),
-            );
-        }
-        assert_eq!(reports[0], reports[1], "{name}: diverged at 2 threads");
-        assert_eq!(reports[0], reports[2], "{name}: diverged at 7 threads");
+                    .unwrap_or_else(|e| panic!("{name} failed to stream: {e}"))
+            })
+            .collect();
         for o in &outcomes[1..] {
             assert_eq!(outcomes[0].metrics, o.metrics, "{name}: metrics diverged");
             assert_eq!(
@@ -348,27 +378,6 @@ fn a_store_straddling_a_shadow_page_feeds_the_next_pages_first_byte() {
     }
 }
 
-/// `break_reductions` needs the whole graph, so the driver silently falls
-/// back to the batch engine — the flag combination must still produce the
-/// batch engine's exact bytes.
-#[test]
-fn break_reductions_falls_back_to_the_batch_engine() {
-    let kernel = vectorscope_kernels::paper::listing3_original(12);
-    let name = kernel.file_name();
-    let mut reports = Vec::new();
-    for streaming in [false, true] {
-        let options = AnalysisOptions {
-            streaming,
-            break_reductions: true,
-            threads: 1,
-            ..AnalysisOptions::default()
-        };
-        let suite = analyze_source(&name, &kernel.source, &options).unwrap();
-        reports.push(suite_json(&suite.loops));
-    }
-    assert_eq!(reports[0], reports[1]);
-}
-
 /// Emits a random-but-valid Kern program covering every engine path —
 /// unit stride, non-unit stride, reversed access, reductions, serial
 /// chains (the determinism suite's grammar).
@@ -411,35 +420,23 @@ void main() {{
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random programs must report byte-identically under the streaming
-    /// engine, at every thread count.
+    /// Every sampled hot-loop sub-trace of a random program replays to the
+    /// batch engine's exact metrics, under both candidate policies and at
+    /// every thread count.
     #[test]
     fn random_programs_stream_identically_to_the_batch_engine(
         n in 4u64..48,
         stmts in prop::collection::vec(0u8..7, 1..6),
     ) {
         let source = random_program(n, &stmts);
-        let options = AnalysisOptions {
-            threads: 1,
-            hot_threshold_pct: 1.0, // random bodies spread cycles thinly
-            ..AnalysisOptions::default()
-        };
-        let batch = analyze_source("rand.kern", &source, &options)
+        let module = vectorscope_frontend::compile("rand.kern", &source)
             .unwrap_or_else(|e| panic!("generated program failed: {e}\n{source}"));
-        let batch_json = suite_json(&batch.loops);
-        for threads in [1usize, 2, 7] {
-            let options = AnalysisOptions {
-                streaming: true,
-                threads,
-                hot_threshold_pct: 1.0,
-                ..AnalysisOptions::default()
-            };
-            let suite = analyze_source("rand.kern", &source, &options)
-                .unwrap_or_else(|e| panic!("generated program failed streaming: {e}\n{source}"));
-            prop_assert_eq!(
-                &batch_json, &suite_json(&suite.loops),
-                "streaming diverged at {} threads for:\n{}", threads, source
-            );
+        // Random bodies spread cycles thinly; sample every loop above 1%.
+        let traces = sampled_subtraces(&module, 1.0);
+        prop_assert!(!traces.is_empty(), "no sub-trace sampled for:\n{}", source);
+        for trace in &traces {
+            let checked = replay_matches_ddg(&module, trace);
+            prop_assert!(checked.is_ok(), "{} for:\n{}", checked.unwrap_err(), source);
         }
     }
 }
