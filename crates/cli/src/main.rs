@@ -17,12 +17,28 @@
 //! vscope fig <1|2>
 //! ```
 
+use std::io::Write;
 use std::process::ExitCode;
 use vectorscope::report::{render_inst_breakdown, render_table};
 use vectorscope::{analyze_source, AnalysisOptions, Engine};
 use vectorscope_autovec::{analyze_module, percent_packed};
 use vectorscope_interp::{CaptureSpec, Vm, VmOptions};
 use vectorscope_kernels::Variant;
+
+/// `print!` to standard output, returning a write error from the enclosing
+/// command instead of panicking (`main` ends quietly on a closed pipe).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*)?
+    };
+}
+
+/// `println!` through the same writer as [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*)?
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -88,6 +104,9 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`vscope kernels | head -2`): nothing is
+        // left to report to.
+        Err(e) if is_broken_pipe(&*e) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("vscope: {e}");
             ExitCode::FAILURE
@@ -96,6 +115,11 @@ fn main() -> ExitCode {
 }
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
+
+fn is_broken_pipe(e: &(dyn std::error::Error + 'static)) -> bool {
+    e.downcast_ref::<std::io::Error>()
+        .is_some_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe)
+}
 
 fn read_source(path: &str) -> Result<String, Box<dyn std::error::Error>> {
     Ok(std::fs::read_to_string(path)?)
@@ -177,6 +201,33 @@ fn vm_for<'m>(
     ))
 }
 
+/// Captures the whole run of `main` (a capture run: no profile is kept).
+fn capture_program(
+    module: &vectorscope_ir::Module,
+    rest: &[String],
+    cmd: &str,
+) -> Result<vectorscope_trace::Trace, Box<dyn std::error::Error>> {
+    let mut vm = vm_for(module, rest)?;
+    vm.set_capture(CaptureSpec::Program, module.name());
+    vm.capture_main()?;
+    Ok(vm
+        .take_trace()
+        .ok_or(format!("{cmd}: the program capture produced no trace"))?)
+}
+
+/// The whole-run DDG under the run's candidate policy (`--integer-ops`).
+fn program_ddg(
+    module: &vectorscope_ir::Module,
+    rest: &[String],
+    cmd: &str,
+) -> Result<vectorscope_ddg::Ddg, Box<dyn std::error::Error>> {
+    let trace = capture_program(module, rest, cmd)?;
+    let policy = analysis_options(rest)?.candidate_policy();
+    Ok(vectorscope_ddg::Ddg::try_build_with_policy(
+        module, &trace, policy,
+    )?)
+}
+
 /// Analyzes a source and prints its hot-loop table (shared by `analyze`
 /// and `kernel`).
 fn analyze_and_print(
@@ -198,20 +249,20 @@ fn analyze_and_print(
         report.percent_packed = Some(percent_packed(&decisions, &counts));
     }
     if json {
-        println!("{}", vectorscope::json::suite_json(&loops));
+        outln!("{}", vectorscope::json::suite_json(&loops));
         return Ok(());
     }
     if loops.is_empty() {
-        println!(
+        outln!(
             "no loops above {:.0}% of cycles; try --threshold with a lower value",
             options.hot_threshold_pct
         );
         return Ok(());
     }
-    println!("{}", render_table(name, &loops));
+    outln!("{}", render_table(name, &loops));
     if verbose {
         for report in &loops {
-            println!("{}", render_inst_breakdown(report));
+            outln!("{}", render_inst_breakdown(report));
         }
     }
     Ok(())
@@ -246,12 +297,7 @@ fn cmd_stats(rest: &[String]) -> CliResult {
 
     // Batch-pipeline footprint for the same run: the materialized trace
     // plus the DDG the streaming engine never builds.
-    let mut vm = vm_for(&module, rest)?;
-    vm.set_capture(CaptureSpec::Program, path);
-    vm.run_main()?;
-    let trace = vm
-        .take_trace()
-        .ok_or("stats: the program capture produced no trace")?;
+    let trace = capture_program(&module, rest, "stats")?;
     let ddg =
         vectorscope_ddg::Ddg::try_build_with_policy(&module, &trace, options.candidate_policy())?;
     let trace_bytes = trace.approx_bytes();
@@ -259,7 +305,7 @@ fn cmd_stats(rest: &[String]) -> CliResult {
     let streaming_peak = s.peak_resident_bytes();
 
     if flag(rest, "--json") {
-        println!(
+        outln!(
             "{{\"events\":{},\"nodes\":{},\"candidate_instances\":{},\"partitions\":{},\
              \"peak_reg_shadow\":{},\"peak_mem_shadow\":{},\"peak_shadow_bytes\":{},\
              \"peak_accumulator_bytes\":{},\"streaming_peak_bytes\":{},\
@@ -278,21 +324,21 @@ fn cmd_stats(rest: &[String]) -> CliResult {
         );
         return Ok(());
     }
-    println!("streaming engine counters for {path}:");
-    println!("  events consumed        {:>14}", s.events);
-    println!("  dynamic nodes          {:>14}", s.nodes);
-    println!("  candidate instances    {:>14}", s.candidate_instances);
-    println!("  partitions             {:>14}", s.partitions);
-    println!("  peak register shadows  {:>14}", s.peak_reg_shadow);
-    println!("  peak memory shadows    {:>14}", s.peak_mem_shadow);
-    println!("  peak shadow bytes      {:>14}", s.peak_shadow_bytes);
-    println!("  peak accumulator bytes {:>14}", s.peak_accumulator_bytes);
-    println!("  peak resident bytes    {:>14}", streaming_peak);
-    println!("batch pipeline for the same run:");
-    println!("  DDG bytes              {:>14}", ddg_bytes);
-    println!("  trace bytes            {:>14}", trace_bytes);
+    outln!("streaming engine counters for {path}:");
+    outln!("  events consumed        {:>14}", s.events);
+    outln!("  dynamic nodes          {:>14}", s.nodes);
+    outln!("  candidate instances    {:>14}", s.candidate_instances);
+    outln!("  partitions             {:>14}", s.partitions);
+    outln!("  peak register shadows  {:>14}", s.peak_reg_shadow);
+    outln!("  peak memory shadows    {:>14}", s.peak_mem_shadow);
+    outln!("  peak shadow bytes      {:>14}", s.peak_shadow_bytes);
+    outln!("  peak accumulator bytes {:>14}", s.peak_accumulator_bytes);
+    outln!("  peak resident bytes    {:>14}", streaming_peak);
+    outln!("batch pipeline for the same run:");
+    outln!("  DDG bytes              {:>14}", ddg_bytes);
+    outln!("  trace bytes            {:>14}", trace_bytes);
     let denom = ddg_bytes.max(1);
-    println!(
+    outln!(
         "streaming peak = {:.1}% of the batch DDG ({:.1}% of DDG + trace)",
         streaming_peak as f64 * 100.0 / denom as f64,
         streaming_peak as f64 * 100.0 / (ddg_bytes + trace_bytes).max(1) as f64
@@ -311,12 +357,17 @@ fn cmd_profile(rest: &[String]) -> CliResult {
     vm.run_main()?;
     let execute_time = t1.elapsed();
     let profiles = vm.profiler().profiles(&module, vm.forests());
-    println!(
+    outln!(
         "{:<30} {:>6} {:>14} {:>14} {:>10} {:>8}",
-        "loop", "depth", "self cycles", "incl cycles", "entries", "percent"
+        "loop",
+        "depth",
+        "self cycles",
+        "incl cycles",
+        "entries",
+        "percent"
     );
     for p in profiles {
-        println!(
+        outln!(
             "{:<30} {:>6} {:>14} {:>14} {:>10} {:>7.1}%",
             format!("{}:{}", p.func_name, p.span.line),
             p.depth,
@@ -326,18 +377,13 @@ fn cmd_profile(rest: &[String]) -> CliResult {
             p.percent
         );
     }
-    println!("total cycles: {}", vm.profiler().total_cycles());
+    outln!("total cycles: {}", vm.profiler().total_cycles());
     // The default output above is deterministic (CI diffs two runs); the
     // wall-clock phase breakdown is opt-in behind `--phases`.
     if flag(rest, "--phases") {
         drop(vm);
         let t2 = std::time::Instant::now();
-        let mut cap_vm = vm_for(&module, rest)?;
-        cap_vm.set_capture(CaptureSpec::Program, path);
-        cap_vm.run_main()?;
-        let trace = cap_vm
-            .take_trace()
-            .ok_or("profile: the program capture produced no trace")?;
+        let trace = capture_program(&module, rest, "profile")?;
         let trace_time = t2.elapsed();
         let t3 = std::time::Instant::now();
         let ddg = vectorscope_ddg::Ddg::try_build_with_policy(
@@ -357,24 +403,24 @@ fn cmd_profile(rest: &[String]) -> CliResult {
         );
         let analysis_time = t4.elapsed();
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-        println!("phase breakdown (wall clock):");
-        println!(
+        outln!("phase breakdown (wall clock):");
+        outln!(
             "  decode    {:>10.3} ms  (VM construction incl. bytecode pre-decode)",
             ms(decode_time)
         );
-        println!(
+        outln!(
             "  execute   {:>10.3} ms  (profiling run, no capture)",
             ms(execute_time)
         );
-        println!(
+        outln!(
             "  trace     {:>10.3} ms  (capture run incl. event buffering)",
             ms(trace_time)
         );
-        println!(
+        outln!(
             "  ddg       {:>10.3} ms  (dependence-graph construction)",
             ms(ddg_time)
         );
-        println!(
+        outln!(
             "  analysis  {:>10.3} ms  (partitioning + stride stages)",
             ms(analysis_time)
         );
@@ -389,14 +435,14 @@ fn cmd_vectorize(rest: &[String]) -> CliResult {
     for d in analyze_module(&module) {
         let func = module.function(d.func).name();
         if d.vectorized {
-            println!(
+            outln!(
                 "{func}:{} VECTORIZED{} ({} packed FP instruction(s))",
                 d.line,
                 if d.reduction { " (reduction)" } else { "" },
                 d.packed.len()
             );
         } else {
-            println!(
+            outln!(
                 "{func}:{} not vectorized: {}",
                 d.line,
                 d.reason.map(|r| r.to_string()).unwrap_or_default()
@@ -410,14 +456,11 @@ fn cmd_trace(rest: &[String]) -> CliResult {
     let path = positional(rest, 0).ok_or("trace: missing <file.kern>")?;
     let source = read_source(path)?;
     let module = vectorscope_frontend::compile(path, &source)?;
-    let mut vm = vm_for(&module, rest)?;
-    vm.set_capture(CaptureSpec::Program, path);
-    vm.run_main()?;
-    let trace = vm.take_trace().expect("capture armed");
-    println!("captured {} events", trace.len());
+    let trace = capture_program(&module, rest, "trace")?;
+    outln!("captured {} events", trace.len());
     if let Some(out) = opt_value(rest, "--out") {
         std::fs::write(out, trace.to_bytes())?;
-        println!("wrote {out}");
+        outln!("wrote {out}");
     }
     Ok(())
 }
@@ -436,7 +479,7 @@ fn cmd_ir(rest: &[String]) -> CliResult {
             eprintln!("printing the IR anyway; pass --no-verify to silence this check");
         }
     }
-    println!("{module}");
+    outln!("{module}");
     Ok(())
 }
 
@@ -460,9 +503,9 @@ fn verify_error_line(
 }
 
 fn cmd_kernels() -> CliResult {
-    println!("{:<20} {:<10} {:<12}", "name", "group", "variant");
+    outln!("{:<20} {:<10} {:<12}", "name", "group", "variant");
     for k in vectorscope_kernels::all_kernels() {
-        println!(
+        outln!(
             "{:<20} {:<10} {:<12}",
             k.name,
             format!("{:?}", k.group),
@@ -504,13 +547,9 @@ fn cmd_parallelism(rest: &[String]) -> CliResult {
     let path = positional(rest, 0).ok_or("parallelism: missing <file.kern>")?;
     let source = read_source(path)?;
     let module = vectorscope_frontend::compile(path, &source)?;
-    let mut vm = vm_for(&module, rest)?;
-    vm.set_capture(CaptureSpec::Program, path);
-    vm.run_main()?;
-    let trace = vm.take_trace().expect("capture armed");
-    let ddg = vectorscope_ddg::Ddg::build(&module, &trace);
+    let ddg = program_ddg(&module, rest, "parallelism")?;
     let k = vectorscope_ddg::kumar::analyze(&ddg);
-    println!(
+    outln!(
         "{} DDG nodes, critical path {}, average parallelism {:.2}",
         ddg.len(),
         k.critical_path,
@@ -531,7 +570,7 @@ fn cmd_parallelism(rest: &[String]) -> CliResult {
     for (i, chunk) in k.histogram.chunks(per).enumerate() {
         let total: u64 = chunk.iter().sum();
         let width = (total * 50 / max.max(1)) as usize;
-        println!(
+        outln!(
             "t{:>6}..{:<6} {:>8} |{}",
             i * per + 1,
             (i + 1) * per,
@@ -548,11 +587,7 @@ fn cmd_ddg(rest: &[String]) -> CliResult {
     let path = positional(rest, 0).ok_or("ddg: missing <file.kern>")?;
     let source = read_source(path)?;
     let module = vectorscope_frontend::compile(path, &source)?;
-    let mut vm = vm_for(&module, rest)?;
-    vm.set_capture(CaptureSpec::Program, path);
-    vm.run_main()?;
-    let trace = vm.take_trace().expect("capture armed");
-    let ddg = vectorscope_ddg::Ddg::build(&module, &trace);
+    let ddg = program_ddg(&module, rest, "ddg")?;
     let options = vectorscope_ddg::dot::DotOptions {
         candidates_only: flag(rest, "--candidates-only"),
         ..vectorscope_ddg::dot::DotOptions::default()
@@ -561,9 +596,9 @@ fn cmd_ddg(rest: &[String]) -> CliResult {
     match opt_value(rest, "--out") {
         Some(out) => {
             std::fs::write(out, &text)?;
-            println!("wrote {out} ({} nodes)", ddg.len());
+            outln!("wrote {out} ({} nodes)", ddg.len());
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -585,13 +620,17 @@ fn cmd_triage(rest: &[String]) -> CliResult {
         report.percent_packed = Some(percent_packed(&decisions, &counts));
     }
     let thresholds = TriageThresholds::default();
-    println!(
+    outln!(
         "{:<30} {:>8} {:>8} {:>10} {:>8}  verdict",
-        "loop", "%cycles", "%packed", "potential", "irreg."
+        "loop",
+        "%cycles",
+        "%packed",
+        "potential",
+        "irreg."
     );
     for (i, verdict) in triage_suite(&loops, &thresholds) {
         let r = &loops[i];
-        println!(
+        outln!(
             "{:<30} {:>7.1}% {:>7.1}% {:>9.1}% {:>8.2}  {}",
             r.location(),
             r.percent_cycles,
@@ -637,12 +676,12 @@ fn cmd_gap(rest: &[String]) -> CliResult {
                     gap_suite_json(&suite)
                 ));
             } else {
-                println!("# {}", kernel.file_name());
-                print!("{}", render_gap(&suite));
+                outln!("# {}", kernel.file_name());
+                out!("{}", render_gap(&suite));
             }
         }
         if json {
-            println!("[{}]", rows.join(","));
+            outln!("[{}]", rows.join(","));
         }
     } else {
         let path = positional(rest, 0).ok_or("gap: missing <file.kern> (or --all-kernels)")?;
@@ -650,9 +689,9 @@ fn cmd_gap(rest: &[String]) -> CliResult {
         let suite = analyze_gap(path, &source, &options)?;
         violations.extend(suite.violations());
         if json {
-            println!("{}", gap_suite_json(&suite));
+            outln!("{}", gap_suite_json(&suite));
         } else {
-            print!("{}", render_gap(&suite));
+            out!("{}", render_gap(&suite));
         }
     }
     if violations.is_empty() {
@@ -672,9 +711,12 @@ fn cmd_suite(rest: &[String]) -> CliResult {
     use vectorscope::triage::{triage, TriageThresholds};
     let options = analysis_options(rest)?;
     let thresholds = TriageThresholds::default();
-    println!(
+    outln!(
         "{:<28} {:>8} {:>10} {:>8}  verdict",
-        "kernel", "%packed", "potential", "irreg."
+        "kernel",
+        "%packed",
+        "potential",
+        "irreg."
     );
     let kernels = vectorscope_kernels::all_kernels();
     let programs: Vec<(String, String)> = kernels
@@ -686,7 +728,7 @@ fn cmd_suite(rest: &[String]) -> CliResult {
         let suite = match result {
             Ok(s) => s,
             Err(e) => {
-                println!("{:<28} error: {e}", kernel.file_name());
+                outln!("{:<28} error: {e}", kernel.file_name());
                 continue;
             }
         };
@@ -712,10 +754,10 @@ fn cmd_suite(rest: &[String]) -> CliResult {
             }
         }
         let Some(report) = best else {
-            println!("{:<28} no FP loops above threshold", kernel.file_name());
+            outln!("{:<28} no FP loops above threshold", kernel.file_name());
             continue;
         };
-        println!(
+        outln!(
             "{:<28} {:>7.1}% {:>9.1}% {:>8.2}  {}",
             kernel.file_name(),
             report.percent_packed.unwrap_or(0.0),
@@ -729,10 +771,10 @@ fn cmd_suite(rest: &[String]) -> CliResult {
 
 fn cmd_table(rest: &[String]) -> CliResult {
     match positional(rest, 0) {
-        Some("1") => println!("{}", vectorscope_bench::tables::table1()),
-        Some("2") => println!("{}", vectorscope_bench::tables::table2()),
-        Some("3") => println!("{}", vectorscope_bench::tables::table3()),
-        Some("4") => println!("{}", vectorscope_bench::tables::table4()),
+        Some("1") => outln!("{}", vectorscope_bench::tables::table1()),
+        Some("2") => outln!("{}", vectorscope_bench::tables::table2()),
+        Some("3") => outln!("{}", vectorscope_bench::tables::table3()),
+        Some("4") => outln!("{}", vectorscope_bench::tables::table4()),
         _ => return Err("table: expected 1, 2, 3, or 4".into()),
     }
     Ok(())
@@ -740,8 +782,8 @@ fn cmd_table(rest: &[String]) -> CliResult {
 
 fn cmd_fig(rest: &[String]) -> CliResult {
     match positional(rest, 0) {
-        Some("1") => println!("{}", vectorscope_bench::figures::fig1()),
-        Some("2") => println!("{}", vectorscope_bench::figures::fig2()),
+        Some("1") => outln!("{}", vectorscope_bench::figures::fig1()),
+        Some("2") => outln!("{}", vectorscope_bench::figures::fig2()),
         _ => return Err("fig: expected 1 or 2".into()),
     }
     Ok(())

@@ -253,3 +253,57 @@ void main() {
     assert_eq!(reported, bytes(CandidatePolicy::IntAndFloatArith));
     assert_ne!(reported, bytes(CandidatePolicy::FloatArith));
 }
+
+/// A reader that closes the pipe early (`vscope kernels | head -2`) ends
+/// the command quietly: no panic message, a successful exit.
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // Far more IR than a pipe buffers, so the writer is still writing when
+    // the reader goes away.
+    let body = "    a[1] = a[0] * 2.0 + a[2];\n".repeat(3000);
+    let path = write_temp(
+        "big_ir.kern",
+        &format!("double a[4];\nvoid main() {{\n{body}}}\n"),
+    );
+    for args in [vec!["ir", path.to_str().unwrap()], vec!["kernels"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_vscope"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("vscope runs");
+        let mut first = String::new();
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        stdout.read_line(&mut first).unwrap();
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.status.success(), "{args:?}: {:?} {err}", out.status);
+    }
+}
+
+/// `vscope ddg` builds the graph under the `--integer-ops` candidate
+/// policy: an integer-only kernel has candidate nodes with the flag and
+/// none without it.
+#[test]
+fn ddg_follows_integer_ops() {
+    let src = r#"
+const int N = 64;
+int a[N]; int b[N];
+void main() {
+    for (int i = 0; i < N; i++) { b[i] = i * 3; }
+    for (int i = 0; i < N; i++) { a[i] = b[i] + 7; }
+}
+"#;
+    let path = write_temp("ddg_ints.kern", src);
+    let path = path.to_str().unwrap();
+    let (with, err, ok) = vscope(&["ddg", path, "--candidates-only", "--integer-ops"]);
+    assert!(ok, "stderr: {err}");
+    assert!(with.contains("shape=box"), "{with}");
+    let (without, err, ok) = vscope(&["ddg", path, "--candidates-only"]);
+    assert!(ok, "stderr: {err}");
+    assert!(!without.contains("shape=box"), "{without}");
+}

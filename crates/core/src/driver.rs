@@ -5,6 +5,7 @@ use crate::report::LoopReport;
 use crate::stream::{StreamOutcome, StreamingAnalyzer};
 use std::cell::RefCell;
 use std::rc::Rc;
+use vectorscope_ddg::replay::CandidateCounter;
 use vectorscope_ddg::{BuildError, CandidatePolicy, Ddg};
 use vectorscope_frontend::CompileError;
 use vectorscope_interp::{CaptureSpec, Engine, LoopProfile, Vm, VmError, VmOptions};
@@ -254,7 +255,7 @@ pub fn analyze_program(
 ) -> Result<ProgramAnalysis, Error> {
     let mut vm = Vm::with_options(module, options.vm_options());
     vm.set_capture(CaptureSpec::Program, module.name());
-    vm.run_main()?;
+    vm.capture_main()?;
     let trace = vm.take_trace().ok_or_else(|| Error::TraceUnavailable {
         what: format!("program capture of `{}`", module.name()),
     })?;
@@ -292,7 +293,7 @@ pub fn stream_program(module: &Module, options: &AnalysisOptions) -> Result<Stre
         CaptureSpec::Program,
         Box::new(move |e| sink_cell.borrow_mut().consume(e)),
     );
-    vm.run_main()?;
+    vm.capture_main()?;
     drop(vm); // releases the sink closure's Rc clone
     let analyzer = Rc::try_unwrap(cell)
         .ok()
@@ -308,12 +309,15 @@ pub fn stream_program(module: &Module, options: &AnalysisOptions) -> Result<Stre
 /// The capture phase executes the program exactly **once** regardless of
 /// how many hot loops or sampled instances there are: every sampled
 /// (loop, instance) pair is armed as its own simultaneous [`CaptureSpec`]
-/// on a single VM, so the whole analysis costs two executions total
-/// (profile + capture) instead of one per sampled instance.
+/// on a single VM. The analysis costs two executions: the profiling run,
+/// to the end, and the capture run, which keeps no profile and stops when
+/// its last capture closes ([`Vm::capture_main`]); a trap or fuel
+/// exhaustion after that point has already surfaced in the profiling run.
 ///
-/// Each captured sub-trace is replayed through a [`StreamingAnalyzer`];
-/// no DDG is built unless `break_reductions` needs its reduction chains.
-/// The reports equal Algorithm 1 over each sub-trace's DDG byte for byte.
+/// Each hot loop analyzes only its [`representative`] sub-trace, replayed
+/// through a [`StreamingAnalyzer`]; no DDG is built unless
+/// `break_reductions` needs its reduction chains. The reports equal
+/// Algorithm 1 over the sub-trace's DDG byte for byte.
 ///
 /// # Errors
 ///
@@ -493,8 +497,8 @@ fn sampled_instances(pick: InstancePick, entries: u64) -> Vec<u64> {
 }
 
 /// Executes `main` once with every sampled (loop, instance) of `plans`
-/// armed as a buffered capture and returns the captured sub-traces in
-/// plan order.
+/// armed as a buffered capture, stopping once the last capture closes,
+/// and returns the captured sub-traces in plan order.
 fn run_captures(
     module: &Module,
     options: &AnalysisOptions,
@@ -513,29 +517,38 @@ fn run_captures(
         }
     }
     if !plans.is_empty() {
-        vm.run_main()?;
+        vm.capture_main()?;
     }
     Ok(vm.take_traces())
 }
 
-/// One analyzed sub-trace: its metrics, per-instruction rows, dynamic
-/// node count and whatever else the caller keeps of it.
-type Analyzed<G> = (LoopMetrics, Vec<InstMetrics>, usize, G);
+/// The index of the representative among one loop's sampled sub-traces
+/// (the paper's "representative subtrace"): the earliest non-empty one
+/// with the most candidate events, or `None` if every one is empty. The
+/// count is the `total_ops` Algorithm 1 would report for the sub-trace,
+/// so no sub-trace is analyzed to choose.
+pub fn representative(traces: &[Trace], counter: &CandidateCounter) -> Option<usize> {
+    let candidates = |i: &usize| std::cmp::Reverse(counter.count(traces[*i].events()));
+    (0..traces.len())
+        .filter(|&i| !traces[i].is_empty())
+        .min_by_key(candidates)
+}
 
 /// What a caller of [`analyze_plans`] keeps of each loop's representative
-/// sub-trace besides its report, and therefore how every sub-trace is
+/// sub-trace besides its report, and therefore how that sub-trace is
 /// analyzed: [`Ddg`] builds the graph and runs Algorithm 1 over it; `()`
 /// replays the buffered events through [`StreamingAnalyzer`] and never
 /// builds a graph — unless `break_reductions` asks for the whole-graph
 /// reduction chains. Both give byte-identical metrics.
 pub(crate) trait Kept: Send + Sized {
-    /// Analyzes one non-empty sub-trace.
+    /// Analyzes one non-empty sub-trace: its metrics, per-instruction
+    /// rows and dynamic node count, and what the caller keeps.
     fn analyze(
         module: &Module,
         trace: &Trace,
         policy: CandidatePolicy,
         options: &MetricOptions,
-    ) -> Result<Analyzed<Self>, Error>;
+    ) -> Result<(LoopMetrics, Vec<InstMetrics>, usize, Self), Error>;
 }
 
 impl Kept for Ddg {
@@ -544,7 +557,7 @@ impl Kept for Ddg {
         trace: &Trace,
         policy: CandidatePolicy,
         options: &MetricOptions,
-    ) -> Result<Analyzed<Ddg>, Error> {
+    ) -> Result<(LoopMetrics, Vec<InstMetrics>, usize, Ddg), Error> {
         let ddg = Ddg::try_build_with_policy(module, trace, policy)?;
         let (metrics, per_inst) = analyze_ddg(module, &ddg, options);
         Ok((metrics, per_inst, ddg.len(), ddg))
@@ -557,7 +570,7 @@ impl Kept for () {
         trace: &Trace,
         policy: CandidatePolicy,
         options: &MetricOptions,
-    ) -> Result<Analyzed<()>, Error> {
+    ) -> Result<(LoopMetrics, Vec<InstMetrics>, usize, ()), Error> {
         if options.break_reductions {
             let (metrics, per_inst, nodes, _) =
                 <Ddg as Kept>::analyze(module, trace, policy, options)?;
@@ -575,15 +588,15 @@ impl Kept for () {
 /// The capture-and-analyze core under [`analyze_source`], [`analyze_loop`]
 /// and [`crate::gap::analyze_gap`].
 ///
-/// One run captures every plan's sampled sub-traces. The per-loop
-/// analyses — dependence replay, Algorithm 1 and the stride stage, each
-/// sub-trace analyzed as [`Kept::analyze`] says for `G` — then fan out
-/// across the work pool. Each worker keeps its loop's representative
-/// sub-trace and hands the report and the kept `G` to `per_loop`, so a
-/// graph is queried, and dropped, in the worker that built it. Results
-/// come back in plan order and a failure surfaces as the lowest-indexed
-/// error, so the outcome is identical at every thread count. The stride
-/// stage inside each worker stays single-threaded
+/// One run captures every plan's sampled sub-traces; each loop keeps its
+/// [`representative`] and drops the others unanalyzed. The per-loop
+/// analyses — dependence replay, Algorithm 1 and the stride stage, as
+/// [`Kept::analyze`] says for `G` — then fan out across the work pool, and
+/// each worker hands the report and the kept `G` to `per_loop`, so a graph
+/// is queried, and dropped, in the worker that built it. Results come
+/// back in plan order and a failure surfaces as the lowest-indexed error,
+/// so the outcome is identical at every thread count. The stride stage
+/// inside each worker stays single-threaded
 /// ([`AnalysisOptions::worker_metric_options`]) unless there is only one
 /// plan.
 pub(crate) fn analyze_plans<G: Kept, T: Send>(
@@ -593,46 +606,28 @@ pub(crate) fn analyze_plans<G: Kept, T: Send>(
     per_loop: impl Fn(LoopReport, G) -> Result<T, Error> + Sync,
 ) -> Result<Vec<T>, Error> {
     let plans = &profile.plans;
+    let policy = options.candidate_policy();
+    let counter = CandidateCounter::new(module, policy);
     let mut traces = run_captures(module, options, plans)?.into_iter();
-    let work: Vec<(&Plan, Vec<Trace>)> = plans
+    let work: Vec<(&Plan, Option<Trace>)> = plans
         .iter()
-        .map(|p| (p, traces.by_ref().take(p.instances.len()).collect()))
+        .map(|p| {
+            let mut sampled: Vec<Trace> = traces.by_ref().take(p.instances.len()).collect();
+            let kept = representative(&sampled, &counter).map(|i| sampled.swap_remove(i));
+            (p, kept)
+        })
         .collect();
     let metric_options = if work.len() > 1 {
         options.worker_metric_options()
     } else {
         options.metric_options()
     };
-    let policy = options.candidate_policy();
-    rayon_lite::try_par_map(options.threads, &work, |_, (p, loop_traces)| {
-        let analyzed = loop_traces.iter().map(|trace| {
-            if trace.is_empty() {
-                return Ok(None);
-            }
-            G::analyze(module, trace, policy, &metric_options).map(Some)
-        });
-        let (metrics, per_inst, nodes, kept) =
-            best_of(analyzed)?.ok_or_else(|| p.empty_trace(module))?;
+    rayon_lite::try_par_map(options.threads, &work, |_, (p, trace)| {
+        let trace = trace.as_ref().ok_or_else(|| p.empty_trace(module))?;
+        let (metrics, per_inst, nodes, kept) = G::analyze(module, trace, policy, &metric_options)?;
         let report = make_report(module, profile, p, metrics, per_inst, nodes);
         per_loop(report, kept)
     })
-}
-
-/// Keeps the analyzed sub-trace with the most candidate operations (the
-/// paper's "representative subtrace"; ties go to the earliest instance).
-/// `None` entries are empty sub-traces; the result is `None` if every one
-/// was empty. Analyses are pulled one at a time, so at most two are alive.
-fn best_of<G>(
-    analyzed: impl Iterator<Item = Result<Option<Analyzed<G>>, Error>>,
-) -> Result<Option<Analyzed<G>>, Error> {
-    let mut best: Option<Analyzed<G>> = None;
-    for a in analyzed {
-        let Some(a) = a? else { continue };
-        if best.as_ref().is_none_or(|b| a.0.total_ops > b.0.total_ops) {
-            best = Some(a);
-        }
-    }
-    Ok(best)
 }
 
 /// Assembles a loop's report row from its analysis results.

@@ -214,6 +214,40 @@ fn classify(kind: &InstKind, fp_candidate: bool, policy: CandidatePolicy) -> (No
     }
 }
 
+/// Counts the [`NodeClass::Candidate`] events of traces of one module,
+/// without replaying their dependences: for a well-formed trace this is
+/// its DDG's candidate node count, the `total_ops` Algorithm 1 reports
+/// for it.
+pub struct CandidateCounter {
+    /// Whether each instruction id is a candidate.
+    candidate: Vec<bool>,
+}
+
+impl CandidateCounter {
+    /// A counter for traces of `module` under `policy`.
+    pub fn new(module: &Module, policy: CandidatePolicy) -> Self {
+        let mut candidate = vec![false; module.num_inst_ids()];
+        for func in module.functions() {
+            for block in func.blocks() {
+                for inst in &block.insts {
+                    let (class, _) = classify(&inst.kind, inst.is_fp_candidate(), policy);
+                    candidate[inst.id.index()] = class == NodeClass::Candidate;
+                }
+            }
+        }
+        CandidateCounter { candidate }
+    }
+
+    /// The number of candidate instances among `events`.
+    pub fn count(&self, events: &[TraceEvent]) -> u64 {
+        let is_candidate = |e: &&TraceEvent| {
+            matches!(e.kind, EventKind::Plain { .. })
+                && self.candidate.get(e.inst.index()) == Some(&true)
+        };
+        events.iter().filter(is_candidate).count() as u64
+    }
+}
+
 /// One activation's last-writer payload per register.
 struct Frame<R> {
     act: u32,

@@ -421,11 +421,45 @@ impl<'m> Vm<'m> {
     /// Returns a [`VmError`] on trap, fuel exhaustion, or stack overflow;
     /// also traps if the module has no `main`.
     pub fn run_main(&mut self) -> Result<Option<RtVal>, VmError> {
-        let main = self.module.lookup_function("main").ok_or(VmError::Trap {
+        let main = self.main()?;
+        self.run(main, &[])
+    }
+
+    /// Runs `main` only for what its armed captures record: the capture
+    /// run of the analysis pipeline, whose profile nobody reads.
+    ///
+    /// The decoded engine executes the same dispatch loop as
+    /// [`Vm::run_main`], with the same fuel budget, traps and bounds
+    /// checks, but skips the profile accounting: [`Vm::inst_counts`],
+    /// [`Vm::branch_taken`] and the [`Profiler`] stay untouched. It returns
+    /// as soon as every armed capture has closed, so [`Vm::fuel_used`]
+    /// counts only the instructions up to that point, and a trap or fuel
+    /// exhaustion later in the program goes unseen. A
+    /// [`CaptureSpec::Program`] capture never closes, so a run that arms
+    /// one goes to the end; a run with no capture armed executes nothing.
+    /// The tree engine runs to completion with full accounting. Either
+    /// way the captured traces equal those of [`Vm::run_main`] byte for
+    /// byte.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`VmError`] on a trap, fuel exhaustion or stack overflow
+    /// before the last capture closes; also traps if the module has no
+    /// `main`.
+    pub fn capture_main(&mut self) -> Result<(), VmError> {
+        let main = self.main()?;
+        match self.options.engine {
+            Engine::Decoded => self.run_decoded::<false>(main, &[]),
+            Engine::Tree => self.run_tree(main, &[]),
+        }
+        .map(drop)
+    }
+
+    fn main(&self) -> Result<FuncId, VmError> {
+        self.module.lookup_function("main").ok_or(VmError::Trap {
             message: "module has no `main` function".into(),
             span: Span::SYNTH,
-        })?;
-        self.run(main, &[])
+        })
     }
 
     /// Runs `func` with `args` to completion and returns its result.
@@ -438,7 +472,7 @@ impl<'m> Vm<'m> {
     /// Returns a [`VmError`] on trap, fuel exhaustion, or stack overflow.
     pub fn run(&mut self, func: FuncId, args: &[RtVal]) -> Result<Option<RtVal>, VmError> {
         match self.options.engine {
-            Engine::Decoded => self.run_decoded(func, args),
+            Engine::Decoded => self.run_decoded::<true>(func, args),
             Engine::Tree => self.run_tree(func, args),
         }
     }
@@ -738,10 +772,16 @@ impl<'m> Vm<'m> {
         Ok(())
     }
 
-    /// The pre-decoded bytecode engine: flushes its flat profiling
-    /// counters into the [`Profiler`] on every exit path so profiles match
-    /// the tree engine's incremental charging even after an error.
-    fn run_decoded(&mut self, func: FuncId, args: &[RtVal]) -> Result<Option<RtVal>, VmError> {
+    /// The pre-decoded bytecode engine. With `PROFILE` it flushes its flat
+    /// profiling counters into the [`Profiler`] on every exit path, so
+    /// profiles match the tree engine's incremental charging even after an
+    /// error; without it the run keeps no profile and stops once every
+    /// armed capture has closed (see [`Vm::capture_main`]).
+    fn run_decoded<const PROFILE: bool>(
+        &mut self,
+        func: FuncId,
+        args: &[RtVal],
+    ) -> Result<Option<RtVal>, VmError> {
         let dm = match &self.decoded {
             Some(d) => Rc::clone(d),
             None => {
@@ -759,7 +799,10 @@ impl<'m> Vm<'m> {
             loop_entries: vec![0; dm.loop_keys.len()],
             total: 0,
         };
-        let result = self.run_decoded_inner(&dm, func, args, &mut prof);
+        let result = self.run_decoded_inner::<PROFILE>(&dm, func, args, &mut prof);
+        if !PROFILE {
+            return result;
+        }
         let mut in_loops = 0u64;
         for (i, &c) in prof.loop_cycles.iter().enumerate() {
             if c > 0 {
@@ -778,7 +821,7 @@ impl<'m> Vm<'m> {
         result
     }
 
-    fn run_decoded_inner(
+    fn run_decoded_inner<const PROFILE: bool>(
         &mut self,
         dm: &DecodedModule,
         func: FuncId,
@@ -794,6 +837,11 @@ impl<'m> Vm<'m> {
         // The entry frame itself may be the requested function capture.
         self.check_function_capture(&frames);
         loop {
+            // Capture state changes mark the active list dirty, so a run
+            // without a profile checks for its end only after one.
+            if !PROFILE && self.active_dirty && self.captures.iter().all(|c| c.done) {
+                return Ok(None);
+            }
             let depth = frames.len();
             let frame = frames.last_mut().expect("at least one frame");
             let dop = &dm.funcs[frame.func.index()].code[frame.ip];
@@ -802,10 +850,12 @@ impl<'m> Vm<'m> {
             if self.fuel_used > self.options.fuel {
                 return Err(VmError::OutOfFuel);
             }
-            self.inst_counts[dop.inst.index()] += 1;
-            prof.total += dop.cost as u64;
-            if dop.loop_idx != NO_LOOP {
-                prof.loop_cycles[dop.loop_idx as usize] += dop.cost as u64;
+            if PROFILE {
+                self.inst_counts[dop.inst.index()] += 1;
+                prof.total += dop.cost as u64;
+                if dop.loop_idx != NO_LOOP {
+                    prof.loop_cycles[dop.loop_idx as usize] += dop.cost as u64;
+                }
             }
 
             match &dop.action {
@@ -1014,10 +1064,12 @@ impl<'m> Vm<'m> {
                     if self.fuel_used > self.options.fuel {
                         return Err(VmError::OutOfFuel);
                     }
-                    self.inst_counts[bin_inst.index()] += 1;
-                    prof.total += *bin_cost as u64;
-                    if dop.loop_idx != NO_LOOP {
-                        prof.loop_cycles[dop.loop_idx as usize] += *bin_cost as u64;
+                    if PROFILE {
+                        self.inst_counts[bin_inst.index()] += 1;
+                        prof.total += *bin_cost as u64;
+                        if dop.loop_idx != NO_LOOP {
+                            prof.loop_cycles[dop.loop_idx as usize] += *bin_cost as u64;
+                        }
                     }
                     let x = opnd_in(frame, *lhs);
                     let y = opnd_in(frame, *rhs);
@@ -1050,26 +1102,28 @@ impl<'m> Vm<'m> {
                     if self.fuel_used > self.options.fuel {
                         return Err(VmError::OutOfFuel);
                     }
-                    self.inst_counts[br_inst.index()] += 1;
-                    prof.total += *br_cost as u64;
-                    if dop.loop_idx != NO_LOOP {
-                        prof.loop_cycles[dop.loop_idx as usize] += *br_cost as u64;
-                    }
-                    if taken {
-                        self.branch_taken[br_inst.index()] += 1;
+                    if PROFILE {
+                        self.inst_counts[br_inst.index()] += 1;
+                        prof.total += *br_cost as u64;
+                        if dop.loop_idx != NO_LOOP {
+                            prof.loop_cycles[dop.loop_idx as usize] += *br_cost as u64;
+                        }
+                        if taken {
+                            self.branch_taken[br_inst.index()] += 1;
+                        }
                     }
                     let edge = if taken { *then_edge } else { *else_edge };
                     let func = frame.func;
                     frame.block = edge.block;
                     frame.ip = edge.pc as usize;
-                    self.take_edge(dm, func, edge, depth, prof);
+                    self.take_edge::<PROFILE>(dm, func, edge, depth, prof);
                 }
                 Action::Br { edge } => {
                     let edge = *edge;
                     let func = frame.func;
                     frame.block = edge.block;
                     frame.ip = edge.pc as usize;
-                    self.take_edge(dm, func, edge, depth, prof);
+                    self.take_edge::<PROFILE>(dm, func, edge, depth, prof);
                 }
                 Action::CondBr {
                     cond,
@@ -1077,14 +1131,14 @@ impl<'m> Vm<'m> {
                     else_edge,
                 } => {
                     let c = opnd_in(frame, *cond).as_int();
-                    if c != 0 {
+                    if PROFILE && c != 0 {
                         self.branch_taken[dop.inst.index()] += 1;
                     }
                     let edge = if c != 0 { *then_edge } else { *else_edge };
                     let func = frame.func;
                     frame.block = edge.block;
                     frame.ip = edge.pc as usize;
-                    self.take_edge(dm, func, edge, depth, prof);
+                    self.take_edge::<PROFILE>(dm, func, edge, depth, prof);
                 }
                 Action::Ret { value } => {
                     let v = value.map(|o| opnd_in(frame, o));
@@ -1142,7 +1196,7 @@ impl<'m> Vm<'m> {
     /// loop-entry counts plus loop-capture activation/stop (the decoded
     /// counterpart of [`Vm::note_transition`], with the loop-forest
     /// ancestor walk replaced by the edge's pre-computed entered list).
-    fn take_edge(
+    fn take_edge<const PROFILE: bool>(
         &mut self,
         dm: &DecodedModule,
         func: FuncId,
@@ -1152,10 +1206,16 @@ impl<'m> Vm<'m> {
     ) {
         let entered = &dm.funcs[func.index()].entered_pool
             [edge.entered_off as usize..(edge.entered_off + edge.entered_len) as usize];
-        for &d in entered {
-            prof.loop_entries[d as usize] += 1;
+        if PROFILE {
+            for &d in entered {
+                prof.loop_entries[d as usize] += 1;
+            }
         }
-        if !self.captures.is_empty() {
+        // Only an active capture can close on an edge, and only an edge
+        // that enters a loop can open one (`active_idx` is exact unless
+        // marked dirty).
+        let maybe_active = self.active_dirty || !self.active_idx.is_empty();
+        if !self.captures.is_empty() && (maybe_active || !entered.is_empty()) {
             let forest = &self.forests[func.index()];
             let cur = edge.block;
             let mut changed = false;

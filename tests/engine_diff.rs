@@ -276,3 +276,169 @@ proptest! {
         }
     }
 }
+
+/// Arms every sampled hot-loop instance of `module` — four spread over the
+/// run of each loop at or above 10% of cycles, as `analyze_source` samples
+/// them — on a fresh VM with `options`.
+fn armed_capture_vm(module: &vectorscope_ir::Module, options: VmOptions) -> Vm<'_> {
+    let mut profile = Vm::new(module);
+    profile.run_main().unwrap();
+    let hot = profile
+        .profiler()
+        .hot_loops(module, profile.forests(), 10.0);
+    let mut vm = Vm::with_options(module, options);
+    for h in hot {
+        let entries = h.profile.entries;
+        let mut instances: Vec<u64> = (0..4).map(|s| s * entries / 4).collect();
+        instances.dedup();
+        for instance in instances {
+            let spec = CaptureSpec::Loop {
+                func: h.profile.key.func,
+                loop_id: h.profile.key.loop_id,
+                instance,
+            };
+            vm.add_capture(spec, &h.profile.func_name);
+        }
+    }
+    vm
+}
+
+fn trace_bytes(vm: &mut Vm<'_>) -> Vec<Vec<u8>> {
+    vm.take_traces().iter().map(|t| t.to_bytes()).collect()
+}
+
+/// The capture-only run records exactly what a full run records, on both
+/// engines, for every bundled kernel's sampled hot-loop instances; the
+/// decoded engine stops at the last capture, so it never executes more.
+#[test]
+fn capture_main_traces_equal_run_main_traces() {
+    let (mut full_insts, mut capture_insts) = (0, 0);
+    for kernel in vectorscope_kernels::all_kernels() {
+        let name = kernel.file_name();
+        let module = kernel.compile().unwrap();
+        for engine in [Engine::Tree, Engine::Decoded] {
+            let options = VmOptions {
+                engine,
+                ..VmOptions::default()
+            };
+            let mut full = armed_capture_vm(&module, options.clone());
+            full.run_main().unwrap();
+            let mut capture = armed_capture_vm(&module, options);
+            capture.capture_main().unwrap();
+            assert_eq!(
+                trace_bytes(&mut full),
+                trace_bytes(&mut capture),
+                "{name} ({engine:?}): capture_main traces diverged"
+            );
+            assert!(capture.fuel_used() <= full.fuel_used(), "{name}");
+            if engine == Engine::Decoded {
+                full_insts += full.fuel_used();
+                capture_insts += capture.fuel_used();
+            }
+        }
+    }
+    assert!(
+        capture_insts < full_insts,
+        "{capture_insts} vs {full_insts}"
+    );
+}
+
+/// A hot loop followed by a trapping tail: the capture run stops before
+/// the trap with the loop's complete trace, the full run reports it, and
+/// the analysis still fails, because its profiling run goes to the end.
+#[test]
+fn capture_main_stops_before_a_trapping_tail() {
+    let src = r#"
+        const int N = 32;
+        double a[N]; int z = 0; int o = 0;
+        void main() {
+            for (int i = 0; i < N; i++) { a[i] = (double)i * 2.0; }
+            for (int i = 0; i < N; i++) { o = o + i; }
+            o = 1 / z;
+        }
+    "#;
+    let module = vectorscope_frontend::compile("tail.kern", src).unwrap();
+    let main = module.lookup_function("main").unwrap();
+    let forest = vectorscope_ir::loops::LoopForest::new(module.function(main));
+    let (first, _) = forest.iter().next().unwrap();
+    let arm = |engine| {
+        let mut vm = Vm::with_options(
+            &module,
+            VmOptions {
+                engine,
+                ..VmOptions::default()
+            },
+        );
+        let spec = CaptureSpec::Loop {
+            func: main,
+            loop_id: first,
+            instance: 0,
+        };
+        vm.add_capture(spec, "first");
+        vm
+    };
+    let mut full = arm(Engine::Decoded);
+    assert!(matches!(full.run_main(), Err(VmError::Trap { .. })));
+    let mut capture = arm(Engine::Decoded);
+    capture.capture_main().unwrap();
+    assert!(capture.fuel_used() < full.fuel_used());
+    let trace = trace_bytes(&mut capture);
+    assert_eq!(trace, trace_bytes(&mut full));
+    assert!(!trace[0].is_empty());
+    // The tree engine runs to completion, so it reports the trap.
+    let mut tree = arm(Engine::Tree);
+    assert!(matches!(tree.capture_main(), Err(VmError::Trap { .. })));
+    assert_eq!(trace, trace_bytes(&mut tree));
+
+    let err = analyze_source("tail.kern", src, &AnalysisOptions::default());
+    assert!(matches!(err, Err(vectorscope::Error::Vm(_))), "{err:?}");
+}
+
+/// Fuel is still counted and checked inside a capture: a budget one short
+/// of the instruction that closes the last capture runs out, in both
+/// engines at the same instruction.
+#[test]
+fn capture_main_runs_out_of_fuel_inside_a_capture() {
+    let kernel = vectorscope_kernels::studies::kernels().remove(0);
+    let module = kernel.compile().unwrap();
+    let mut vm = armed_capture_vm(&module, VmOptions::default());
+    vm.capture_main().unwrap();
+    let closing = vm.fuel_used();
+    for engine in [Engine::Decoded, Engine::Tree] {
+        let options = VmOptions {
+            engine,
+            fuel: closing - 1,
+            ..VmOptions::default()
+        };
+        let mut short = armed_capture_vm(&module, options);
+        assert_eq!(short.capture_main(), Err(VmError::OutOfFuel), "{engine:?}");
+        assert_eq!(short.fuel_used(), closing, "{engine:?}");
+    }
+}
+
+/// A whole-program capture never closes: the capture run goes to the end,
+/// executes as many instructions as the full run and reports a trap at
+/// the very end. With nothing armed, the decoded engine executes nothing.
+#[test]
+fn capture_main_with_a_program_capture_runs_to_the_end() {
+    let src = "double a[8]; int z = 0; int o = 0; void main() { \
+               for (int i = 0; i < 8; i++) { a[i] = 1.5 * (double)i; } o = 1 / z; }";
+    let module = vectorscope_frontend::compile("prog.kern", src).unwrap();
+    for engine in [Engine::Decoded, Engine::Tree] {
+        let options = VmOptions {
+            engine,
+            ..VmOptions::default()
+        };
+        let mut full = Vm::with_options(&module, options.clone());
+        full.set_capture(CaptureSpec::Program, "all");
+        assert!(matches!(full.run_main(), Err(VmError::Trap { .. })));
+        let mut capture = Vm::with_options(&module, options);
+        capture.set_capture(CaptureSpec::Program, "all");
+        assert!(matches!(capture.capture_main(), Err(VmError::Trap { .. })));
+        assert_eq!(capture.fuel_used(), full.fuel_used(), "{engine:?}");
+        assert_eq!(trace_bytes(&mut capture), trace_bytes(&mut full));
+    }
+    let mut idle = Vm::new(&module);
+    idle.capture_main().unwrap();
+    assert_eq!(idle.fuel_used(), 0);
+}

@@ -351,3 +351,102 @@ fn moderate_scale_program_analyzes_in_bounds() {
         assert!(p.num_instances() > 0);
     }
 }
+
+/// Every bundled kernel's sampled sub-traces, grouped per hot loop (four
+/// instances spread over the run of each loop at or above 10% of cycles,
+/// as `analyze_source` samples them).
+fn sampled_per_loop(module: &vectorscope_ir::Module) -> Vec<Vec<vectorscope_trace::Trace>> {
+    let mut profile = Vm::new(module);
+    profile.run_main().unwrap();
+    let hot = profile
+        .profiler()
+        .hot_loops(module, profile.forests(), 10.0);
+    let mut capture = Vm::new(module);
+    let mut per_loop = Vec::new();
+    for h in hot {
+        let entries = h.profile.entries;
+        let mut instances: Vec<u64> = (0..4).map(|s| s * entries / 4).collect();
+        instances.dedup();
+        per_loop.push(instances.len());
+        for instance in instances {
+            let spec = CaptureSpec::Loop {
+                func: h.profile.key.func,
+                loop_id: h.profile.key.loop_id,
+                instance,
+            };
+            capture.add_capture(spec, &h.profile.func_name);
+        }
+    }
+    capture.capture_main().unwrap();
+    let mut traces = capture.take_traces().into_iter();
+    per_loop
+        .into_iter()
+        .map(|n| traces.by_ref().take(n).collect())
+        .collect()
+}
+
+/// The retired analyse-all pick, kept as the oracle of the select-first
+/// rule: of the analysed sub-traces (`None` for empty ones), the earliest
+/// with the largest `total_ops`.
+fn analyse_all_pick(total_ops: &[Option<u64>]) -> Option<usize> {
+    let mut best: Option<(usize, u64)> = None;
+    for (i, &ops) in total_ops.iter().enumerate() {
+        let Some(ops) = ops else { continue };
+        if best.is_none_or(|(_, b)| ops > b) {
+            best = Some((i, ops));
+        }
+    }
+    best.map(|(i, _)| i)
+}
+
+/// Selecting before analysing keeps the sub-trace that analysing every
+/// sampled one would keep: each sub-trace's candidate-event count equals
+/// the `total_ops` Algorithm 1 reports for it, and the pick equals the
+/// analyse-all pick, on every bundled kernel under both candidate
+/// policies, with reductions broken and not.
+#[test]
+fn select_first_pick_equals_the_analyse_all_pick() {
+    use vectorscope::metrics::{analyze_ddg, MetricOptions};
+    use vectorscope::{representative, CandidatePolicy};
+    use vectorscope_ddg::replay::CandidateCounter;
+    let mut picks = 0;
+    for kernel in vectorscope_kernels::all_kernels() {
+        let name = kernel.file_name();
+        let module = kernel.compile().unwrap();
+        for traces in sampled_per_loop(&module) {
+            for policy in [
+                CandidatePolicy::FloatArith,
+                CandidatePolicy::IntAndFloatArith,
+            ] {
+                let counter = CandidateCounter::new(&module, policy);
+                let ddgs: Vec<Option<Ddg>> = traces
+                    .iter()
+                    .map(|t| {
+                        let ddg = || Ddg::try_build_with_policy(&module, t, policy).unwrap();
+                        (!t.is_empty()).then(ddg)
+                    })
+                    .collect();
+                for break_reductions in [false, true] {
+                    let options = MetricOptions {
+                        break_reductions,
+                        threads: 1,
+                    };
+                    let at = format!("{name} ({policy:?}, break_reductions={break_reductions})");
+                    let mut total_ops = Vec::new();
+                    for (trace, ddg) in traces.iter().zip(&ddgs) {
+                        let ops = ddg.as_ref().map(|ddg| {
+                            let ops = analyze_ddg(&module, ddg, &options).0.total_ops;
+                            assert_eq!(counter.count(trace.events()), ops, "{at}");
+                            ops
+                        });
+                        total_ops.push(ops);
+                    }
+                    let pick = representative(&traces, &counter);
+                    assert_eq!(pick, analyse_all_pick(&total_ops), "{at}");
+                    picks += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(picks, 82 * 4);
+}
